@@ -9,11 +9,17 @@ boundary maps into itself; the supremum complex is the smallest
 boundary-stable submodule containing the span. Both have isomorphic
 homology, which is what this module computes.
 
-Over the integers each degree yields a finitely generated abelian
-group. Field coefficients reuse the integral restricted boundary
-matrices and take ranks in the field (exact rational rank, or rank mod
-p), so Betti numbers always satisfy the universal-coefficient
-relations with the integral answer.
+Either complex is a chain complex of free modules once its boundaries
+are written in the submodule's own basis (the restricted boundaries).
+Over the integers each degree then yields a finitely generated abelian
+group, read off the invariant factors of those matrices:
+H_n = Z^(b_n - r_n - r_{n+1}) plus Z/t for each invariant factor
+t >= 2 of the boundary into degree n, where b_n is the basis rank and
+r_n the rank of the boundary out of degree n. Classical homology of a
+simplicial complex uses the same formula on its raw boundary matrices.
+Field coefficients take ranks of the same integer matrices in the
+field (exact rational rank, or rank mod p), so Betti numbers always
+satisfy the universal-coefficient relations with the integral answer.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .abelian import FGAbelianGroup, from_presentation
+from .abelian import FGAbelianGroup
 from .errors import IntegrityError, ValidationError
 from .hypergraph import Hypergraph, SimplicialComplex, associated_complex
 from .intlinalg import (
@@ -267,12 +273,12 @@ def restricted_boundaries(m: GradedSubmodule) -> list[SparseIntMatrix]:
                 continue
             img = m.boundaries[n].apply_to_column(basis.column(j))
             assert solver_below is not None
-            coeffs = solver_below.solve(img)
+            coeffs = solver_below.solve_sparse(img)
             if coeffs is None:
                 raise IntegrityError(
                     f"boundary of degree-{n} basis column {j} leaves the submodule"
                 )
-            cols.append({i: v for i, v in enumerate(coeffs) if v})
+            cols.append(coeffs)
         out.append(SparseIntMatrix.from_columns(m.basis_rank(n - 1), cols))
         solver_below = LatticeSolver(basis)
     return out
@@ -284,41 +290,47 @@ def submodule_homology(
     """Homology of a boundary-stable graded submodule, one value per
     degree 0..top_degree.
 
-    Integral: kernel basis of each restricted boundary, relations from
-    the degree above, cokernel via invariant factors. Field: Betti
-    numbers from ranks of the same integer matrices taken in the field.
+    The restricted boundaries form a chain complex of free modules, so
+    its homology follows from their invariant factors (integral) or
+    their ranks in the field, as in :func:`_chain_homology`.
     """
-    d = restricted_boundaries(m)
-    top = m.top_degree
+    return _chain_homology(restricted_boundaries(m), coeff)
+
+
+def _chain_homology(
+    d: list[SparseIntMatrix], coeff: Coefficient
+) -> list[FGAbelianGroup] | list[int]:
+    """Homology of the free chain complex with boundaries ``d``, one value
+    per degree 0..len(d)-1; the boundary out of the last degree is zero.
+
+    With b_n = d[n].ncols and r_n the rank of d[n]:
+    H_n = Z^(b_n - r_n - r_{n+1}) + sum of Z/t over the invariant factors
+    t >= 2 of d[n+1]; over a field, Betti_n = b_n - r_n - r_{n+1} with
+    field ranks. This holds only for a chain complex, so the composites
+    d[n-1] @ d[n] are checked to vanish first.
+    """
+    for n in range(2, len(d)):
+        if not (d[n - 1] @ d[n]).is_zero():
+            raise IntegrityError(
+                f"degree-{n} boundary image is not a degree-{n - 1} cycle"
+            )
     if coeff.is_field:
         if coeff.kind == "q":
             ranks = [rank(dd) for dd in d]
         else:
             assert coeff.p is not None
             ranks = [rank_mod_p(dd, coeff.p) for dd in d]
-        ranks.append(0)  # nothing above the top degree
-        return [m.basis_rank(n) - ranks[n] - ranks[n + 1] for n in range(top + 1)]
-    groups: list[FGAbelianGroup] = []
-    for n in range(top + 1):
-        cycles = kernel_basis(d[n])
-        if cycles.ncols == 0:
-            groups.append(FGAbelianGroup.trivial())
-            continue
-        if n == top or d[n + 1].ncols == 0:
-            groups.append(FGAbelianGroup.free(cycles.ncols))
-            continue
-        solver = LatticeSolver(cycles)
-        rel_cols = []
-        for j in range(d[n + 1].ncols):
-            coeffs = solver.solve(d[n + 1].column(j))
-            if coeffs is None:
-                raise IntegrityError(
-                    f"degree-{n + 1} boundary image is not a degree-{n} cycle"
-                )
-            rel_cols.append({i: v for i, v in enumerate(coeffs) if v})
-        relations = SparseIntMatrix.from_columns(cycles.ncols, rel_cols)
-        groups.append(from_presentation(relations, ambient_rank=cycles.ncols))
-    return groups
+        ranks.append(0)
+        return [dd.ncols - ranks[n] - ranks[n + 1] for n, dd in enumerate(d)]
+    factors = [invariant_factors(dd) for dd in d]
+    factors.append(())
+    return [
+        FGAbelianGroup(
+            dd.ncols - len(factors[n]) - len(factors[n + 1]),
+            tuple(t for t in factors[n + 1] if t >= 2),
+        )
+        for n, dd in enumerate(d)
+    ]
 
 
 # ------------------------------------------------------------- inf and sup
@@ -441,27 +453,11 @@ def classical_homology(
 ) -> list[FGAbelianGroup] | list[int]:
     """Simplicial homology of a complex, degrees 0 through dim+1.
 
-    Standalone pipeline on the full chain complex: ranks and invariant
-    factors of the raw boundary matrices, no submodule machinery. Used
-    to cross-check the embedded pipeline on closed inputs.
+    Read off the raw boundary matrices of the full chain complex, with
+    no submodule machinery. Used to cross-check the embedded pipeline
+    on closed inputs.
     """
-    top = k.dim + 1
-    counts = [len(k.simplices_of_dim(n)) for n in range(top + 2)]
-    mats = [boundary_matrix(k, n) for n in range(top + 2)]
-    if coeff.is_field:
-        if coeff.kind == "q":
-            ranks = [rank(m) for m in mats]
-        else:
-            assert coeff.p is not None
-            ranks = [rank_mod_p(m, coeff.p) for m in mats]
-        return [counts[n] - ranks[n] - ranks[n + 1] for n in range(top + 1)]
-    factors = [invariant_factors(m) for m in mats]
-    out = []
-    for n in range(top + 1):
-        free = counts[n] - len(factors[n]) - len(factors[n + 1])
-        torsion = [t for t in factors[n + 1] if t >= 2]
-        out.append(FGAbelianGroup.from_parts(free, torsion))
-    return out
+    return _chain_homology([boundary_matrix(k, n) for n in range(k.dim + 2)], coeff)
 
 
 # ---------------------------------------------------------------- rendering

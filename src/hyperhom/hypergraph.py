@@ -133,10 +133,18 @@ class SimplicialComplex(Hypergraph):
     def simplices_of_dim(self, n: int) -> tuple[tuple[int, ...], ...]:
         return self.edges_of_dim(n)
 
-    @lru_cache(maxsize=None)
+    @cached_property
+    def _positions(self) -> tuple[dict[tuple[int, ...], int], ...]:
+        return tuple({s: k for k, s in enumerate(b)} for b in self._by_dim)
+
     def simplex_positions(self, n: int) -> dict[tuple[int, ...], int]:
-        """Map each n-simplex to its position in the canonical order."""
-        return {s: k for k, s in enumerate(self.simplices_of_dim(n))}
+        """Map each n-simplex to its position in the canonical order.
+
+        The map is shared by every caller: treat it as read-only.
+        """
+        if n < 0 or n > self.dim:
+            return {}
+        return self._positions[n]
 
 
 # -------------------------------------------------------------- building

@@ -14,6 +14,7 @@ equality, which the rest of the package leans on for determinism.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
@@ -270,22 +271,38 @@ class _Echelon:
 
     def canonicalize(self) -> list[tuple[int, dict[int, int]]]:
         """Hermite-canonical form: positive pivots, entries above each
-        pivot reduced into [0, pivot). Returns (pivot, row) sorted by pivot."""
-        order = sorted(self.rows)
+        pivot reduced into [0, pivot). Returns (pivot, row) sorted by pivot.
+
+        Rows are finished in descending pivot order, so every row used
+        for a reduction is already final. A row is reduced only at the
+        pivot columns it holds, smallest first: subtracting a final row
+        touches columns at and after its pivot, so it never undoes an
+        earlier reduction, and any pivot column it fills in is queued.
+        """
+        rows = self.rows
+        order = sorted(rows)
         for j in order:
-            if self.rows[j][j] < 0:
-                _dict_scale(self.rows[j], -1)
-        for idx, j in enumerate(order):
-            row = self.rows[j]
-            p = row[j]
-            for j2 in order[:idx]:
-                other = self.rows[j2]
-                v = other.get(j)
-                if v is not None:
-                    q = v // p
-                    if q:
-                        _dict_addmul(other, row, -q)
-        return [(j, self.rows[j]) for j in order]
+            if rows[j][j] < 0:
+                _dict_scale(rows[j], -1)
+        for j in reversed(order):
+            row = rows[j]
+            todo = [c for c in row if c > j and c in rows]
+            heapq.heapify(todo)
+            last = j
+            while todo:
+                c = heapq.heappop(todo)
+                v = row.get(c)
+                if c == last or v is None:
+                    continue
+                last = c
+                below = rows[c]
+                q = v // below[c]
+                if q:
+                    for k in below:
+                        if k > c and k in rows and k not in row:
+                            heapq.heappush(todo, k)
+                    _dict_addmul(row, below, -q)
+        return [(j, rows[j]) for j in order]
 
 
 def rank(a: SparseIntMatrix) -> int:
@@ -353,14 +370,20 @@ class LatticeSolver:
 
     def solve(self, v: Mapping[int, int] | Sequence[int]) -> list[int] | None:
         """Coefficients c with basis @ c = v, or None if v is outside the lattice."""
-        vec = self._to_dict(v)
-        residue = self._ech.reduce(vec)
-        if any(j < self.nrows for j in residue):
+        sparse = self.solve_sparse(v)
+        if sparse is None:
             return None
         coeffs = [0] * self.ncols
-        for j, val in residue.items():
-            coeffs[j - self.nrows] = -val
+        for j, val in sparse.items():
+            coeffs[j] = val
         return coeffs
+
+    def solve_sparse(self, v: Mapping[int, int] | Sequence[int]) -> dict[int, int] | None:
+        """Like :meth:`solve`, with only the nonzero coefficients, as a dict."""
+        residue = self._ech.reduce(self._to_dict(v))
+        if any(j < self.nrows for j in residue):
+            return None
+        return {j - self.nrows: -val for j, val in residue.items()}
 
     def contains(self, v: Mapping[int, int] | Sequence[int]) -> bool:
         return self.solve(v) is not None

@@ -3,8 +3,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from homology_oracle import oracle_classical_homology, oracle_submodule_homology
 from hyperhom.abelian import FGAbelianGroup
-from hyperhom.errors import ValidationError
+from hyperhom.errors import IntegrityError, ValidationError
 from hyperhom.examples import (
     homology_demo_pair,
     projective_plane,
@@ -16,6 +17,7 @@ from hyperhom.homology import (
     INTEGERS,
     RATIONALS,
     Coefficient,
+    GradedSubmodule,
     boundary_matrix,
     classical_homology,
     embedded_homology,
@@ -30,8 +32,10 @@ from hyperhom.hypergraph import (
     associated_complex,
     hypergraph_from_edges,
     parse_hypergraph,
+    product_boxtimes,
     random_hypergraph,
 )
+from hyperhom.intlinalg import SparseIntMatrix
 
 
 def small_hypergraphs(max_vertices=6, max_dim=3):
@@ -152,6 +156,22 @@ def test_restricted_boundaries_compose_to_zero(h):
             assert (d[n] @ d[n + 1]).is_zero()
 
 
+def test_boundaries_that_do_not_compose_to_zero_are_refused():
+    # C_0 = Z, C_1 = Z^2, C_2 = Z with d_1 = [1 0] and d_2 = e_1, so
+    # d_1 @ d_2 = 1 although d_1 has the nonzero cycle e_2. Full bases are
+    # boundary-stable, so restricted_boundaries accepts the module.
+    boundaries = (
+        SparseIntMatrix(0, 1),
+        SparseIntMatrix.from_rows([[1, 0]]),
+        SparseIntMatrix.from_rows([[1], [0]]),
+    )
+    bases = tuple(SparseIntMatrix.identity(d.ncols) for d in boundaries)
+    m = GradedSubmodule(boundaries, bases)
+    restricted_boundaries(m)
+    with pytest.raises(IntegrityError):
+        submodule_homology(m, INTEGERS)
+
+
 # ----------------------------------------------------------- worked values
 
 
@@ -186,6 +206,15 @@ def test_homology_of_single_vertex():
     ]
 
 
+def test_projective_plane_squared_matches_oracle():
+    rp2 = projective_plane()
+    box = product_boxtimes(rp2, rp2)
+    groups = embedded_homology(box, INTEGERS)
+    assert [str(g) for g in groups] == ["Z", "Z/2 + Z/2", "Z/2", "Z/2", "0", "0"]
+    for m in (inf_chain(box), sup_chain(box)):
+        assert submodule_homology(m, INTEGERS) == oracle_submodule_homology(m) == groups
+
+
 def test_projective_plane_homology():
     rp2 = projective_plane()
     groups = embedded_homology(rp2, INTEGERS, verify=True)
@@ -206,6 +235,8 @@ def test_inf_and_sup_homology_agree(h):
         inf = submodule_homology(inf_chain(h), coeff)
         sup = submodule_homology(sup_chain(h), coeff)
         assert inf == sup, coeff
+    for m in (inf_chain(h), sup_chain(h)):
+        assert submodule_homology(m, INTEGERS) == oracle_submodule_homology(m)
     # and the bundled verification path accepts the instance
     embedded_homology(h, INTEGERS, verify=True)
 
@@ -216,6 +247,8 @@ def test_closed_input_matches_classical_pipeline(h):
     k = associated_complex(h)
     for coeff in ALL_COEFFS:
         assert embedded_homology(k, coeff) == classical_homology(k, coeff)
+    # both sides share the invariant-factor kernel: compare with the oracle
+    assert classical_homology(k, INTEGERS) == oracle_classical_homology(k)
 
 
 def betti_from_groups(groups, p, n):

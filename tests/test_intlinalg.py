@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from math import gcd
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
@@ -17,6 +18,9 @@ from hypothesis import given, strategies as st
 from hyperhom.intlinalg import (
     LatticeSolver,
     SparseIntMatrix,
+    _dict_addmul,
+    _dict_scale,
+    _Echelon,
     column_hnf,
     determinant,
     express_in_basis,
@@ -327,6 +331,9 @@ def test_lattice_solver_reuse():
     solver = LatticeSolver(basis)
     assert solver.solve([3, 2]) == [1, 1]
     assert solver.solve([1, 1]) is None
+    assert solver.solve_sparse({0: 3}) == {0: 1}
+    assert solver.solve_sparse({1: 1}) is None
+    assert solver.solve([0, 0]) == [0, 0] and solver.solve_sparse({}) == {}
     assert solver.contains([6, -4])
     assert not solver.contains([2, 2])
 
@@ -424,6 +431,36 @@ def test_column_hnf_spans_same_lattice(a):
     solver = LatticeSolver(h)
     for j in range(a.ncols):
         assert solver.contains(a.column(j))
+
+
+def quadratic_canonicalize(ech: _Echelon) -> list[tuple[int, dict[int, int]]]:
+    """Reference Hermite back-substitution: for each pivot in ascending
+    order, probe every earlier row for an entry in that column."""
+    order = sorted(ech.rows)
+    for j in order:
+        if ech.rows[j][j] < 0:
+            _dict_scale(ech.rows[j], -1)
+    for idx, j in enumerate(order):
+        row = ech.rows[j]
+        p = row[j]
+        for j2 in order[:idx]:
+            other = ech.rows[j2]
+            v = other.get(j)
+            if v is not None:
+                q = v // p
+                if q:
+                    _dict_addmul(other, row, -q)
+    return [(j, ech.rows[j]) for j in order]
+
+
+@given(int_matrices(max_dim=7))
+def test_sparse_back_substitution_matches_quadratic_reference(a):
+    # dense entries in -9..9 give non-unit pivots and fill-in; the Hermite
+    # form is unique, so both reductions must give identical matrices
+    hnf, ker = column_hnf(a), kernel_basis(a)
+    with mock.patch.object(_Echelon, "canonicalize", quadratic_canonicalize):
+        assert column_hnf(a) == hnf
+        assert kernel_basis(a) == ker
 
 
 def test_hstack_shape_checks():
