@@ -16,7 +16,6 @@ import time
 from hyperhom import (
     INTEGERS,
     RATIONALS,
-    associated_complex,
     classical_homology,
     embedded_homology,
     field_kunneth_check,
@@ -39,7 +38,7 @@ def main() -> int:
     start = time.monotonic()
     rp2 = projective_plane()
     box = product_boxtimes(rp2, rp2)
-    closed = associated_complex(box)
+    closed = box.closure
     print(f"factor: {rp2.n_vertices} vertices, {len(rp2.edges)} simplices")
     print(f"product: {box.n_vertices} vertices, {len(box.edges)} hyperedges")
     print(f"closure: {len(closed.edges)} simplices")

@@ -102,13 +102,6 @@ class FGAbelianGroup:
     def is_trivial(self) -> bool:
         return self.rank == 0 and not self.invariants
 
-    @property
-    def torsion_order(self) -> int:
-        out = 1
-        for t in self.invariants:
-            out *= t
-        return out
-
     def betti_mod_p(self, p: int) -> int:
         """dim over Z/p of (self tensor Z/p): rank + p-divisible invariants."""
         return self.rank + sum(1 for t in self.invariants if t % p == 0)

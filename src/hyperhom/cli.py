@@ -24,7 +24,6 @@ from .homology import (
 )
 from .hypergraph import (
     Hypergraph,
-    associated_complex,
     dumps_structured,
     hypergraph_from_edges,
     parse_hypergraph,
@@ -179,11 +178,11 @@ def cmd_product(config: RunConfig) -> str:
     h = _read_hypergraph(config.inputs[0])
     h2 = _read_hypergraph(config.inputs[1])
     box = product_boxtimes(h, h2)
-    return _emit_hypergraph(associated_complex(box) if config.closure else box, config)
+    return _emit_hypergraph(box.closure if config.closure else box, config)
 
 
 def cmd_closure(config: RunConfig) -> str:
-    return _emit_hypergraph(associated_complex(_read_hypergraph(config.inputs[0])), config)
+    return _emit_hypergraph(_read_hypergraph(config.inputs[0]).closure, config)
 
 
 def cmd_kunneth(config: RunConfig) -> str:
@@ -308,8 +307,12 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         config = _config_from_args(args)
-        if config.command == "fuzz" and config.count < 0:
-            raise ValidationError("count must be non-negative")
+        if config.count < 0:
+            raise ValidationError("--count must be non-negative")
+        if config.max_dim is not None and config.max_dim < 0:
+            raise ValidationError("--max-dim must be non-negative")
+        if config.max_vertices < 1:
+            raise ValidationError("--max-vertices must be at least 1")
         text = _COMMANDS[config.command](config)
         _write_output(text, config.out_path)
         return 0

@@ -25,11 +25,12 @@ satisfy the universal-coefficient relations with the integral answer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
+from typing import Sequence
 
 from .abelian import FGAbelianGroup
 from .errors import IntegrityError, ValidationError
-from .hypergraph import Hypergraph, SimplicialComplex, associated_complex
+from .hypergraph import Hypergraph, SimplicialComplex
 from .intlinalg import (
     LatticeSolver,
     SparseIntMatrix,
@@ -193,7 +194,6 @@ def render_chain(c: ChainElement, k: SimplicialComplex) -> str:
 # --------------------------------------------------------------- boundaries
 
 
-@lru_cache(maxsize=256)
 def boundary_matrix(k: SimplicialComplex, n: int) -> SparseIntMatrix:
     """Matrix of the simplicial boundary from n-chains to (n-1)-chains.
 
@@ -254,6 +254,22 @@ class GradedSubmodule:
         """Is the ambient coordinate vector in the degree-n lattice?"""
         return self.membership_solver(n).solve(vector) is not None
 
+    @cached_property
+    def restricted(self) -> list[SparseIntMatrix]:
+        """The restricted boundaries, see :func:`restricted_boundaries`."""
+        return restricted_boundaries(self)
+
+    @cached_property
+    def _homology(self) -> dict[Coefficient, list]:
+        return {}
+
+    def homology(self, coeff: Coefficient = INTEGERS) -> list[FGAbelianGroup] | list[int]:
+        """:func:`submodule_homology`, computed once per coefficient ring;
+        each call returns a fresh list."""
+        if coeff not in self._homology:
+            self._homology[coeff] = submodule_homology(self, coeff)
+        return list(self._homology[coeff])
+
 
 def restricted_boundaries(m: GradedSubmodule) -> list[SparseIntMatrix]:
     """Boundary matrices in the submodule's own basis coordinates.
@@ -294,11 +310,11 @@ def submodule_homology(
     its homology follows from their invariant factors (integral) or
     their ranks in the field, as in :func:`_chain_homology`.
     """
-    return _chain_homology(restricted_boundaries(m), coeff)
+    return _chain_homology(m.restricted, coeff)
 
 
 def _chain_homology(
-    d: list[SparseIntMatrix], coeff: Coefficient
+    d: Sequence[SparseIntMatrix], coeff: Coefficient
 ) -> list[FGAbelianGroup] | list[int]:
     """Homology of the free chain complex with boundaries ``d``, one value
     per degree 0..len(d)-1; the boundary out of the last degree is zero.
@@ -376,37 +392,35 @@ def inf_bases_of_span(
     return tuple(bases)
 
 
-@lru_cache(maxsize=128)
 def inf_chain(h: Hypergraph) -> GradedSubmodule:
     """Largest boundary-stable submodule inside the hyperedge span.
 
     Degree n basis: kernel of the composite (project onto simplices
     that are not (n-1)-hyperedges) after (boundary restricted to the
     degree-n hyperedge columns), written in ambient coordinates.
+    Computed afresh on every call; ``h.inf`` keeps one.
     """
-    k = associated_complex(h)
+    k = h.closure
     top = h.dim + 1
-    boundaries = tuple(boundary_matrix(k, n) for n in range(top + 1))
     if h.is_closed():
         bases = tuple(
             SparseIntMatrix.identity(len(k.simplices_of_dim(n)))
             for n in range(top + 1)
         )
-        return GradedSubmodule(boundaries, bases)
+        return GradedSubmodule(k.boundaries, bases)
     generators = tuple(
         tuple(_hyperedge_positions(h, k, n)) for n in range(top + 1)
     )
-    return GradedSubmodule(boundaries, inf_bases_of_span(boundaries, generators))
+    return GradedSubmodule(k.boundaries, inf_bases_of_span(k.boundaries, generators))
 
 
-@lru_cache(maxsize=128)
 def sup_chain(h: Hypergraph) -> GradedSubmodule:
     """Smallest boundary-stable submodule containing the hyperedge span:
     degree n is spanned by the n-hyperedges together with boundaries of
-    the (n+1)-hyperedges."""
-    k = associated_complex(h)
+    the (n+1)-hyperedges. Computed afresh on every call; ``h.sup``
+    keeps one."""
+    k = h.closure
     top = h.dim + 1
-    boundaries = tuple(boundary_matrix(k, n) for n in range(top + 1))
     bases = []
     for n in range(top + 1):
         ambient = len(k.simplices_of_dim(n))
@@ -415,14 +429,14 @@ def sup_chain(h: Hypergraph) -> GradedSubmodule:
         )
         if n + 1 <= top:
             above = _hyperedge_positions(h, k, n + 1)
-            d_above = boundary_matrix(k, n + 1)
+            d_above = k.boundaries[n + 1]
             image = SparseIntMatrix.from_columns(
                 ambient, [dict(d_above._cols[p]) for p in above]
             )
         else:
             image = SparseIntMatrix(ambient, 0)
         bases.append(lattice_sum_basis(span, image))
-    return GradedSubmodule(boundaries, tuple(bases))
+    return GradedSubmodule(k.boundaries, tuple(bases))
 
 
 def embedded_homology(
@@ -430,14 +444,14 @@ def embedded_homology(
 ) -> list[FGAbelianGroup] | list[int]:
     """Embedded homology of a hypergraph, degrees 0 through dim+1.
 
-    Computed from the infimum complex. With ``verify`` the supremum
-    complex is computed independently and the two answers must agree
-    degree by degree.
+    Computed from the infimum complex ``h.inf``, once per coefficient
+    ring. With ``verify`` the supremum complex ``h.sup`` is computed
+    independently and the two answers must agree degree by degree.
     """
-    result = submodule_homology(inf_chain(h), coeff)
+    result = h.inf.homology(coeff)
     if verify:
-        other = submodule_homology(sup_chain(h), coeff)
-        if list(result) != list(other):
+        other = h.sup.homology(coeff)
+        if result != other:
             raise IntegrityError(
                 "infimum and supremum homology disagree: "
                 f"inf={_render_values(result, coeff)} sup={_render_values(other, coeff)}"
@@ -457,7 +471,7 @@ def classical_homology(
     no submodule machinery. Used to cross-check the embedded pipeline
     on closed inputs.
     """
-    return _chain_homology([boundary_matrix(k, n) for n in range(k.dim + 2)], coeff)
+    return _chain_homology(k.boundaries, coeff)
 
 
 # ---------------------------------------------------------------- rendering
@@ -466,11 +480,3 @@ def classical_homology(
 def _render_values(values, coeff: Coefficient) -> str:
     return "[" + ", ".join(str(v) for v in values) + "]"
 
-
-def homology_table(values, coeff: Coefficient) -> str:
-    """Plain-text degree table, one ``H_n = ...`` line per degree."""
-    lines = []
-    for n, v in enumerate(values):
-        shown = v if coeff.kind == "z" else f"rank {v}"
-        lines.append(f"H_{n} = {shown}")
-    return "\n".join(lines) + "\n"

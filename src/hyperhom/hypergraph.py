@@ -20,9 +20,13 @@ import json
 import random
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import FormatError, ValidationError
+
+if TYPE_CHECKING:
+    from .homology import GradedSubmodule
+    from .intlinalg import SparseIntMatrix
 
 
 def _canonical_edges(edges: Iterable[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
@@ -88,23 +92,12 @@ class Hypergraph:
             return ()
         return self._by_dim[n]
 
-    @cached_property
-    def token_index(self) -> dict[str, int]:
-        return {t: i for i, t in enumerate(self.vertices)}
-
     def edge_tokens(self, e: tuple[int, ...]) -> tuple[str, ...]:
         return tuple(self.vertices[i] for i in e)
 
     @cached_property
     def edge_token_sets(self) -> frozenset[frozenset[str]]:
         return frozenset(frozenset(self.edge_tokens(e)) for e in self.edges)
-
-    def same_as(self, other: "Hypergraph") -> bool:
-        """Equality as a set of token hyperedges (vertex order ignored)."""
-        return (
-            set(self.vertices) == set(other.vertices)
-            and self.edge_token_sets == other.edge_token_sets
-        )
 
     def is_closed(self) -> bool:
         """True when every facet of every hyperedge is again a hyperedge."""
@@ -115,6 +108,30 @@ class Hypergraph:
                     if e[:k] + e[k + 1 :] not in present:
                         return False
         return True
+
+    # Derived values are computed on first use and live as long as the
+    # hypergraph. The infimum and supremum are separate values, so each
+    # route runs on its own; the homology imports are deferred because
+    # that module imports this one.
+
+    @cached_property
+    def closure(self) -> SimplicialComplex:
+        """The downward closure, see :func:`associated_complex`."""
+        return associated_complex(self)
+
+    @cached_property
+    def inf(self) -> GradedSubmodule:
+        """The infimum complex, see :func:`hyperhom.homology.inf_chain`."""
+        from .homology import inf_chain
+
+        return inf_chain(self)
+
+    @cached_property
+    def sup(self) -> GradedSubmodule:
+        """The supremum complex, see :func:`hyperhom.homology.sup_chain`."""
+        from .homology import sup_chain
+
+        return sup_chain(self)
 
 
 @dataclass(frozen=True)
@@ -145,6 +162,14 @@ class SimplicialComplex(Hypergraph):
         if n < 0 or n > self.dim:
             return {}
         return self._positions[n]
+
+    @cached_property
+    def boundaries(self) -> tuple[SparseIntMatrix, ...]:
+        """Boundary matrices of degrees 0 through dim+1, see
+        :func:`hyperhom.homology.boundary_matrix`."""
+        from .homology import boundary_matrix
+
+        return tuple(boundary_matrix(self, n) for n in range(self.dim + 2))
 
 
 # -------------------------------------------------------------- building
@@ -261,7 +286,6 @@ def dumps_structured(h: Hypergraph) -> str:
 # --------------------------------------------------------------- closure
 
 
-@lru_cache(maxsize=256)
 def associated_complex(h: Hypergraph) -> SimplicialComplex:
     """Downward closure: the smallest simplicial complex containing h.
 
@@ -317,9 +341,13 @@ def product_vertices(h: Hypergraph, h2: Hypergraph) -> tuple[str, ...]:
     return tuple(f"{u}|{w}" for u in h.vertices for w in h2.vertices)
 
 
+@lru_cache(maxsize=8)
 def product_boxtimes(h: Hypergraph, h2: Hypergraph) -> Hypergraph:
     """The lattice-path product: one hyperedge per monotone path per
     pair of hyperedges, deduplicated. The result is usually not closed.
+
+    The last few products are memoized, so every check on one pair
+    reads the same product value and shares its derived data.
 
     Factor tokens may not contain ``|``: the product serializes its
     vertices as ``left|right`` and nested bars would not round-trip.
@@ -343,7 +371,7 @@ def product_complex(k: Hypergraph, k2: Hypergraph) -> SimplicialComplex:
     for g in (k, k2):
         if not g.is_closed():
             raise ValidationError("product_complex needs closed complexes")
-    return associated_complex(product_boxtimes(k, k2))
+    return product_boxtimes(k, k2).closure
 
 
 # ---------------------------------------------------------------- random

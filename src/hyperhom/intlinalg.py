@@ -2,7 +2,7 @@
 
 Sparse matrices with arbitrary-precision entries, Smith normal form with
 unimodular transforms, Hermite-canonical column lattices, saturated
-kernels, and lattice sum/intersection. No floating point and no
+kernels, and lattice sums. No floating point and no
 machine-word arithmetic anywhere: entry growth during elimination is
 expected and must stay exact.
 
@@ -151,13 +151,6 @@ class SparseIntMatrix:
                 rows[i][j] = v
         return rows
 
-    def transpose(self) -> "SparseIntMatrix":
-        t = SparseIntMatrix(self.ncols, self.nrows)
-        for j, col in enumerate(self._cols):
-            for i, v in col.items():
-                t._cols[i][j] = v
-        return t
-
     def scaled(self, f: int) -> "SparseIntMatrix":
         m = SparseIntMatrix(self.nrows, self.ncols)
         if f:
@@ -166,9 +159,6 @@ class SparseIntMatrix:
                     m._cols[j][i] = f * v
         return m
 
-    def __neg__(self) -> "SparseIntMatrix":
-        return self.scaled(-1)
-
     def apply_to_column(self, col: Mapping[int, int]) -> dict[int, int]:
         """Matrix times a sparse column vector (dict of coordinate -> value)."""
         out: dict[int, int] = {}
@@ -176,17 +166,6 @@ class SparseIntMatrix:
             if not 0 <= j < self.ncols:
                 raise ValueError(f"column index {j} outside 0..{self.ncols - 1}")
             _dict_addmul(out, self._cols[j], v)
-        return out
-
-    def mat_vec(self, vec: Sequence[int]) -> list[int]:
-        if len(vec) != self.ncols:
-            raise ValueError("vector length does not match column count")
-        out = [0] * self.nrows
-        for j, col in enumerate(self._cols):
-            v = vec[j]
-            if v:
-                for i, w in col.items():
-                    out[i] += v * w
         return out
 
     def __matmul__(self, other: "SparseIntMatrix") -> "SparseIntMatrix":
@@ -399,37 +378,11 @@ class LatticeSolver:
         return {i: val for i, val in enumerate(v) if val}
 
 
-def express_in_basis(
-    v: Mapping[int, int] | Sequence[int], basis: SparseIntMatrix
-) -> list[int] | None:
-    """Integer coordinates of v in the given independent basis columns.
-
-    Returns None when v is not in the column lattice (the distinguished
-    not-in-lattice outcome). Raises ValueError on dimension mismatch or
-    dependent basis columns.
-    """
-    return LatticeSolver(basis).solve(v)
-
-
 def lattice_sum_basis(a: SparseIntMatrix, b: SparseIntMatrix) -> SparseIntMatrix:
     """Canonical basis of (column lattice of a) + (column lattice of b)."""
     if a.nrows != b.nrows:
         raise ValueError("row counts differ")
     return column_hnf(hstack(a, b))
-
-
-def lattice_intersection_basis(a: SparseIntMatrix, b: SparseIntMatrix) -> SparseIntMatrix:
-    """Canonical basis of the intersection of two column lattices."""
-    if a.nrows != b.nrows:
-        raise ValueError("row counts differ")
-    if a.ncols == 0 or b.ncols == 0:
-        return SparseIntMatrix(a.nrows, 0)
-    ker = kernel_basis(hstack(a, -b))
-    ech = _Echelon()
-    for j in range(ker.ncols):
-        x_part = {i: v for i, v in ker._cols[j].items() if i < a.ncols}
-        ech.insert(a.apply_to_column(x_part))
-    return SparseIntMatrix.from_columns(a.nrows, [row for _, row in ech.canonicalize()])
 
 
 @dataclass(frozen=True)

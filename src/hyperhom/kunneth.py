@@ -27,21 +27,13 @@ from .homology import (
     ChainElement,
     Coefficient,
     GradedSubmodule,
-    boundary_matrix,
     chain_boundary,
     chain_from_vector,
     chain_to_vector,
     embedded_homology,
     inf_bases_of_span,
-    inf_chain,
 )
-from .hypergraph import (
-    Hypergraph,
-    SimplicialComplex,
-    associated_complex,
-    lattice_paths,
-    product_boxtimes,
-)
+from .hypergraph import Hypergraph, SimplicialComplex, lattice_paths, product_boxtimes
 from .intlinalg import SparseIntMatrix, column_hnf
 
 SimplexPair = tuple[tuple[int, ...], tuple[int, ...]]
@@ -197,11 +189,7 @@ class ProductContext:
 
     @classmethod
     def from_hypergraphs(cls, h: Hypergraph, h2: Hypergraph) -> "ProductContext":
-        return cls(
-            associated_complex(h),
-            associated_complex(h2),
-            associated_complex(product_boxtimes(h, h2)),
-        )
+        return cls(h.closure, h2.closure, product_boxtimes(h, h2).closure)
 
     def pair_index(self, li: int, ri: int) -> int:
         return li * len(self.right.vertices) + ri
@@ -269,8 +257,8 @@ def inf_tensor_basis(
     construction used for a single hypergraph) and the two canonical
     bases must be identical matrices.
     """
-    ctx = TensorContext(associated_complex(h), associated_complex(h2))
-    mi, mi2 = inf_chain(h), inf_chain(h2)
+    ctx = TensorContext(h.closure, h2.closure)
+    mi, mi2 = h.inf, h2.inf
     bases = []
     for n in range(ctx.top_degree + 1):
         ambient = ctx.ambient_rank(n)
@@ -474,7 +462,7 @@ def restricted_chainmap_check(h: Hypergraph, h2: Hypergraph) -> ChainMapReport:
     ctx = ProductContext.from_hypergraphs(h, h2)
     tctx = TensorContext(ctx.left, ctx.right)
     tensor_inf = inf_tensor_basis(h, h2)
-    product_inf = inf_chain(product_boxtimes(h, h2))
+    product_inf = product_boxtimes(h, h2).inf
     checked_t = checked_p = 0
     for n in range(tensor_inf.top_degree + 1):
         tb = tensor_inf.bases[n]

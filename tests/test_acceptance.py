@@ -207,7 +207,7 @@ def test_criterion_6_randomized_theorem_battery() -> None:
     with criterion(
         6,
         "200 seeded random pairs pass closure, infimum/supremum, chain "
-        "map, kunneth, and Betti convolution checks",
+        "map, kunneth, and universal-coefficient checks",
         budget=600.0,
     ):
         report = run_fuzz(FuzzConfig(count=200, seed=1))

@@ -5,8 +5,10 @@ from __future__ import annotations
 import json
 
 import hyperhom.cli as cli
+import hyperhom.homology as homology
 from hyperhom.cli import main
 from hyperhom.errors import IntegrityError
+from hyperhom.examples import triangle_boundary
 from hyperhom.fuzz import FuzzConfig, FuzzFailure, FuzzReport
 from hyperhom.hypergraph import (
     associated_complex,
@@ -206,6 +208,14 @@ def test_validation_failures_exit_2(tmp_path, capsys) -> None:
     ok = write(tmp_path, "ok.txt", "v0\n")
     assert run(capsys, "homology", ok, "--coeff", "zp:4")[0] == 2
     assert run(capsys, "fuzz", "--count", "-3")[0] == 2
+    for argv in (
+        ("homology", ok, "--max-dim", "-1"),
+        ("homology", ok, "--max-dim", "-2"),
+        ("fuzz", "--max-dim", "-1"),
+        ("fuzz", "--max-vertices", "0"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "") and "error:" in err
 
 
 def test_kunneth_mismatch_exits_3_and_still_prints_report(
@@ -251,3 +261,15 @@ def test_integrity_failure_exits_4(tmp_path, capsys, monkeypatch) -> None:
     path = write(tmp_path, "h.txt", "v0\n")
     code, _, err = run(capsys, "homology", path, "--verify")
     assert code == 4 and "pipelines disagree" in err
+
+
+def test_kunneth_verify_exits_4_when_the_supremum_route_disagrees(
+    tmp_path, capsys, monkeypatch
+) -> None:
+    # the supremum route is computed on its own, so a faulty supremum is
+    # caught even after the plain check cached the infimum answers
+    monkeypatch.setattr(homology, "sup_chain", lambda h: homology.inf_chain(triangle_boundary()))
+    left = write(tmp_path, "l.txt", SEGMENT_WITH_POINT)
+    right = write(tmp_path, "r.txt", "w0\n")
+    code, out, err = run(capsys, "kunneth", left, right, "--verify")
+    assert code == 4 and out == "" and "disagree" in err

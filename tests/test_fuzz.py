@@ -5,8 +5,16 @@ from __future__ import annotations
 import pytest
 
 import hyperhom.fuzz as fuzz
+import hyperhom.homology as homology
+from hyperhom.examples import projective_plane, vertex_hypergraph
 from hyperhom.fuzz import FuzzConfig, check_pair, instance_pair, run_fuzz
-from hyperhom.hypergraph import Hypergraph, hypergraph_from_edges
+from hyperhom.hypergraph import (
+    Hypergraph,
+    hypergraph_from_edges,
+    product_boxtimes,
+    random_hypergraph,
+)
+from hyperhom.intlinalg import rank
 
 
 def test_config_rejects_bad_bounds() -> None:
@@ -38,6 +46,32 @@ def test_check_pair_passes_on_known_good_instances() -> None:
     h = hypergraph_from_edges([["v0"], ["v0", "v1"]])
     h2 = hypergraph_from_edges([["w1"], ["w0", "w1"]])
     assert check_pair(h, h2) is None
+
+
+def test_check_pair_computes_each_derived_value_once(spy) -> None:
+    h = random_hypergraph(5, 2, 0.5, seed=48611)
+    h2 = random_hypergraph(4, 2, 0.6, seed=48612)
+    product_boxtimes.cache_clear()
+    calls = {
+        name: spy(homology, name)
+        for name in ("inf_chain", "sup_chain", "restricted_boundaries")
+    }
+    assert check_pair(h, h2) is None
+    # once per hypergraph (both factors and the product) and route
+    counts = {name: len(c) for name, c in calls.items()}
+    assert counts == {"inf_chain": 3, "sup_chain": 3, "restricted_boundaries": 6}
+
+
+def test_universal_coefficient_check_catches_a_wrong_field_rank(monkeypatch) -> None:
+    # Z/2 ranks taken over Q: RP2 then loses its Z/2 classes consistently in
+    # factor and product, so the Z/2 Kunneth ledger still closes.
+    product_boxtimes.cache_clear()
+    monkeypatch.setattr(homology, "rank_mod_p", lambda d, p: rank(d))
+    try:
+        outcome = check_pair(projective_plane(), vertex_hypergraph())
+    finally:
+        product_boxtimes.cache_clear()  # drop the product holding wrong answers
+    assert outcome is not None and outcome[0] == "universal-coefficients"
 
 
 def test_small_campaign_is_clean_and_reproducible() -> None:

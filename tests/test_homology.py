@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import hyperhom.homology as homology
 from homology_oracle import oracle_classical_homology, oracle_submodule_homology
 from hyperhom.abelian import FGAbelianGroup
 from hyperhom.errors import IntegrityError, ValidationError
@@ -105,7 +106,7 @@ def test_inf_of_path_with_cap():
     # only the 0-hyperedge {v0} survives; degrees 1 and 2 collapse
     assert [m.basis_rank(n) for n in range(m.top_degree + 1)] == [1, 0, 0, 0]
     k = associated_complex(h)
-    assert m.bases[0].column(0) == {k.simplex_positions(0)[(k.token_index["v0"],)]: 1}
+    assert m.bases[0].column(0) == {k.simplex_positions(0)[(k.vertices.index("v0"),)]: 1}
 
 
 def test_inf_of_closed_complex_is_full_span():
@@ -118,9 +119,9 @@ def test_inf_membership_for_edge_path():
     h, _ = tensor_membership_pair()
     k = associated_complex(h)
     pos = k.simplex_positions(1)
-    ti = k.token_index
-    e12 = pos[(ti["v1"], ti["v2"])]
-    e23 = pos[(ti["v2"], ti["v3"])]
+    v1, v2, v3 = (k.vertices.index(t) for t in ("v1", "v2", "v3"))
+    e12 = pos[(v1, v2)]
+    e23 = pos[(v2, v3)]
     m = inf_chain(h)
     # boundary of {v1,v2} + {v2,v3} is {v3} - {v1}, inside the hyperedge span
     assert m.contains(1, {e12: 1, e23: 1})
@@ -239,6 +240,23 @@ def test_inf_and_sup_homology_agree(h):
         assert submodule_homology(m, INTEGERS) == oracle_submodule_homology(m)
     # and the bundled verification path accepts the instance
     embedded_homology(h, INTEGERS, verify=True)
+
+
+def test_infimum_and_supremum_routes_run_cold(spy):
+    names = ("inf_chain", "sup_chain", "restricted_boundaries")
+    calls = [spy(homology, name) for name in names]
+    h, _ = homology_demo_pair()
+    groups = embedded_homology(h, INTEGERS, verify=True)
+    # the supremum is built and restricted on its own, not read off the infimum
+    assert [len(c) for c in calls] == [1, 1, 2]
+    assert h.inf is not h.sup and h.inf.bases != h.sup.bases
+    # later answers come from the memo, and a caller's edits do not reach it
+    want = list(groups)
+    groups.append(FGAbelianGroup.free(7))
+    groups[0] = None
+    assert embedded_homology(h, INTEGERS) == want
+    assert embedded_homology(h, INTEGERS, verify=True) == want
+    assert [len(c) for c in calls] == [1, 1, 2]
 
 
 @settings(max_examples=40)
