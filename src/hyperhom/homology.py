@@ -9,6 +9,11 @@ boundary maps into itself; the supremum complex is the smallest
 boundary-stable submodule containing the span. Both have isomorphic
 homology, which is what this module computes.
 
+Neither needs the whole closure. In degree n both live on the facet
+coordinates: the n-hyperedges together with the facets of the
+(n+1)-hyperedges. Boundaries are written on those coordinates, with an
+overflow row for each face outside them, so no face is ever dropped.
+
 Either complex is a chain complex of free modules once its boundaries
 are written in the submodule's own basis (the restricted boundaries).
 Over the integers each degree then yields a finitely generated abelian
@@ -24,6 +29,7 @@ satisfy the universal-coefficient relations with the integral answer.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -162,18 +168,23 @@ def chain_boundary(c: ChainElement) -> ChainElement:
     return ChainElement(c.degree - 1, {s: v for s, v in acc.items() if v})
 
 
-def chain_to_vector(c: ChainElement, k: SimplicialComplex) -> dict[int, int]:
-    """Coordinates of a chain in the canonical simplex order of ``k``."""
+def chain_to_vector(
+    c: ChainElement, k: SimplicialComplex | SimplexCoordinates
+) -> dict[int, int] | None:
+    """Coordinates of a chain in the canonical simplex order of ``k``, or
+    None when its support leaves ``k``'s simplices."""
     pos = k.simplex_positions(c.degree)
     out = {}
     for s, v in c.coeffs.items():
         if s not in pos:
-            raise ValueError(f"simplex {s} is not in the complex")
+            return None
         out[pos[s]] = v
     return out
 
 
-def chain_from_vector(k: SimplicialComplex, n: int, vec: dict[int, int]) -> ChainElement:
+def chain_from_vector(
+    k: SimplicialComplex | SimplexCoordinates, n: int, vec: dict[int, int]
+) -> ChainElement:
     simplices = k.simplices_of_dim(n)
     return ChainElement(n, {simplices[i]: v for i, v in vec.items() if v})
 
@@ -194,25 +205,81 @@ def render_chain(c: ChainElement, k: SimplicialComplex) -> str:
 # --------------------------------------------------------------- boundaries
 
 
-def boundary_matrix(k: SimplicialComplex, n: int) -> SparseIntMatrix:
+def boundary_matrix(
+    k: SimplicialComplex | SimplexCoordinates, n: int
+) -> SparseIntMatrix:
     """Matrix of the simplicial boundary from n-chains to (n-1)-chains.
 
     Columns follow the canonical n-simplex order, rows the (n-1) order;
     dropping vertex j contributes (-1)^j. Degree 0 maps to the zero
-    module, so the matrix has no rows.
+    module, so the matrix has no rows. When ``k`` is not closed under
+    faces (facet coordinates), every face outside its (n-1)-simplices
+    gets its own overflow row after theirs, in order of first occurrence;
+    a complex has none.
     """
     if n < 0:
         raise ValueError("degree must be non-negative")
     cols = k.simplices_of_dim(n)
-    rows = k.simplices_of_dim(n - 1) if n > 0 else ()
-    m = SparseIntMatrix(len(rows), len(cols))
-    if n == 0:
-        return m
     pos = k.simplex_positions(n - 1)
-    for j, s in enumerate(cols):
-        for drop in range(len(s)):
-            m._cols[j][pos[s[:drop] + s[drop + 1 :]]] = -1 if drop % 2 else 1
+    overflow: dict[tuple[int, ...], int] = {}
+    out: list[dict[int, int]] = []
+    for s in cols:
+        col: dict[int, int] = {}
+        if n:
+            # combinations drops the last vertex first
+            for drop, f in zip(range(n, -1, -1), itertools.combinations(s, n)):
+                i = pos.get(f)
+                if i is None:
+                    i = overflow.setdefault(f, len(pos) + len(overflow))
+                col[i] = -1 if drop % 2 else 1
+        out.append(col)
+    m = SparseIntMatrix(len(pos) + len(overflow), len(cols))
+    m._cols = out
     return m
+
+
+@dataclass(frozen=True)
+class SimplexCoordinates:
+    """Named coordinates for chains: ``simplices[n]`` lists the degree-n
+    coordinate simplices in canonical order.
+
+    Reads like a :class:`SimplicialComplex` (``simplices_of_dim``,
+    ``simplex_positions``, ``boundaries``), but need not be closed under
+    faces: a boundary face outside the coordinates gets an overflow row
+    past the coordinate rows, so it is never dropped.
+    """
+
+    simplices: tuple[tuple[tuple[int, ...], ...], ...]
+
+    def simplices_of_dim(self, n: int) -> tuple[tuple[int, ...], ...]:
+        return self.simplices[n] if 0 <= n < len(self.simplices) else ()
+
+    @cached_property
+    def _positions(self) -> tuple[dict[tuple[int, ...], int], ...]:
+        return tuple({s: k for k, s in enumerate(b)} for b in self.simplices)
+
+    def simplex_positions(self, n: int) -> dict[tuple[int, ...], int]:
+        """Map each degree-n coordinate simplex to its position; read-only."""
+        return self._positions[n] if 0 <= n < len(self.simplices) else {}
+
+    @cached_property
+    def boundaries(self) -> tuple[SparseIntMatrix, ...]:
+        """Boundary matrices of every degree, with overflow rows, see
+        :func:`boundary_matrix`."""
+        return tuple(boundary_matrix(self, n) for n in range(len(self.simplices)))
+
+
+def facet_coordinates(h: Hypergraph) -> SimplexCoordinates:
+    """The coordinates the embedded homology of ``h`` lives on: in each
+    degree n = 0..dim+1, the n-hyperedges together with the facets of the
+    (n+1)-hyperedges. Computed afresh; ``h.coordinates`` keeps one."""
+    out = []
+    for n in range(h.dim + 2):
+        here = set(h.edges_of_dim(n))
+        for e in h.edges_of_dim(n + 1):
+            here.update(itertools.combinations(e, n + 1))
+        out.append(tuple(sorted(here)))
+    return SimplexCoordinates(tuple(out))
 
 
 # ---------------------------------------------------------- graded modules
@@ -222,14 +289,19 @@ def boundary_matrix(k: SimplicialComplex, n: int) -> SparseIntMatrix:
 class GradedSubmodule:
     """A graded submodule of a chain complex, one basis per degree.
 
-    ``boundaries[n]`` is the ambient boundary matrix from degree n to
-    n-1 coordinates; ``bases[n]`` holds basis columns in ambient degree
-    n coordinates. The submodule is expected to be boundary-stable
-    (checked when homology is computed). Bases need not be saturated.
+    ``bases[n]`` holds basis columns in ambient degree-n coordinates;
+    ``coordinates``, when given, names those coordinates (simplex
+    ``coordinates.simplices_of_dim(n)[i]`` is row i of ``bases[n]``).
+    ``boundaries[n]`` is the ambient boundary matrix out of degree n: its
+    first rows are the degree n-1 coordinates, and any rows past them are
+    overflow rows for faces outside those coordinates. The submodule is
+    expected to be boundary-stable (checked when homology is computed).
+    Bases need not be saturated.
     """
 
     boundaries: tuple[SparseIntMatrix, ...]
     bases: tuple[SparseIntMatrix, ...]
+    coordinates: SimplexCoordinates | SimplicialComplex | None = None
 
     def __post_init__(self) -> None:
         if len(self.boundaries) != len(self.bases):
@@ -237,8 +309,12 @@ class GradedSubmodule:
         for n, (d, b) in enumerate(zip(self.boundaries, self.bases)):
             if d.ncols != b.nrows:
                 raise ValueError(f"degree {n}: boundary domain != ambient rank")
-            if n > 0 and d.nrows != self.bases[n - 1].nrows:
-                raise ValueError(f"degree {n}: boundary range != ambient rank below")
+            if n > 0 and d.nrows < self.bases[n - 1].nrows:
+                raise ValueError(f"degree {n}: boundary range < ambient rank below")
+            if self.coordinates is not None and b.nrows != len(
+                self.coordinates.simplices_of_dim(n)
+            ):
+                raise ValueError(f"degree {n}: ambient rank != coordinate count")
 
     @property
     def top_degree(self) -> int:
@@ -276,12 +352,16 @@ def restricted_boundaries(m: GradedSubmodule) -> list[SparseIntMatrix]:
 
     Entry n maps degree-n basis coefficients to degree-(n-1) basis
     coefficients. Raises IntegrityError if some boundary image leaves
-    the submodule, i.e. the chain-complex property fails.
+    the submodule, i.e. the chain-complex property fails; an image with
+    an entry in an overflow row (a face outside the coordinates below)
+    leaves it too.
     """
     out: list[SparseIntMatrix] = []
     solver_below: LatticeSolver | None = None
     for n in range(m.top_degree + 1):
         basis = m.bases[n]
+        rows_below = m.bases[n - 1].nrows if n else 0
+        overflow = m.boundaries[n].nrows > rows_below
         cols = []
         for j in range(basis.ncols):
             if n == 0:
@@ -289,6 +369,11 @@ def restricted_boundaries(m: GradedSubmodule) -> list[SparseIntMatrix]:
                 continue
             img = m.boundaries[n].apply_to_column(basis.column(j))
             assert solver_below is not None
+            if overflow and img and max(img) >= rows_below:
+                raise IntegrityError(
+                    f"boundary of degree-{n} basis column {j} has a face "
+                    f"outside the degree-{n - 1} coordinates"
+                )
             coeffs = solver_below.solve_sparse(img)
             if coeffs is None:
                 raise IntegrityError(
@@ -352,11 +437,6 @@ def _chain_homology(
 # ------------------------------------------------------------- inf and sup
 
 
-def _hyperedge_positions(h: Hypergraph, k: SimplicialComplex, n: int) -> list[int]:
-    pos = k.simplex_positions(n)
-    return [pos[e] for e in h.edges_of_dim(n)]
-
-
 def inf_bases_of_span(
     boundaries: tuple[SparseIntMatrix, ...], generators: tuple[tuple[int, ...], ...]
 ) -> tuple[SparseIntMatrix, ...]:
@@ -392,51 +472,53 @@ def inf_bases_of_span(
     return tuple(bases)
 
 
+def _hyperedge_positions(h: Hypergraph, n: int) -> list[int]:
+    pos = h.coordinates.simplex_positions(n)
+    return [pos[e] for e in h.edges_of_dim(n)]
+
+
 def inf_chain(h: Hypergraph) -> GradedSubmodule:
     """Largest boundary-stable submodule inside the hyperedge span.
 
     Degree n basis: kernel of the composite (project onto simplices
     that are not (n-1)-hyperedges) after (boundary restricted to the
-    degree-n hyperedge columns), written in ambient coordinates.
-    Computed afresh on every call; ``h.inf`` keeps one.
+    degree-n hyperedge columns), written in the facet coordinates
+    ``h.coordinates``; the downward closure is never built. Computed
+    afresh on every call; ``h.inf`` keeps one.
     """
-    k = h.closure
-    top = h.dim + 1
+    c = h.coordinates
     if h.is_closed():
-        bases = tuple(
-            SparseIntMatrix.identity(len(k.simplices_of_dim(n)))
-            for n in range(top + 1)
+        bases = tuple(SparseIntMatrix.identity(len(s)) for s in c.simplices)
+    else:
+        generators = tuple(
+            tuple(_hyperedge_positions(h, n)) for n in range(len(c.simplices))
         )
-        return GradedSubmodule(k.boundaries, bases)
-    generators = tuple(
-        tuple(_hyperedge_positions(h, k, n)) for n in range(top + 1)
-    )
-    return GradedSubmodule(k.boundaries, inf_bases_of_span(k.boundaries, generators))
+        bases = inf_bases_of_span(c.boundaries, generators)
+    return GradedSubmodule(c.boundaries, bases, c)
 
 
 def sup_chain(h: Hypergraph) -> GradedSubmodule:
     """Smallest boundary-stable submodule containing the hyperedge span:
     degree n is spanned by the n-hyperedges together with boundaries of
-    the (n+1)-hyperedges. Computed afresh on every call; ``h.sup``
-    keeps one."""
-    k = h.closure
-    top = h.dim + 1
+    the (n+1)-hyperedges, in the facet coordinates ``h.coordinates``.
+    Computed afresh on every call; ``h.sup`` keeps one."""
+    c = h.coordinates
+    top = len(c.simplices) - 1
     bases = []
     for n in range(top + 1):
-        ambient = len(k.simplices_of_dim(n))
+        ambient = len(c.simplices[n])
         span = SparseIntMatrix.from_columns(
-            ambient, [{p: 1} for p in _hyperedge_positions(h, k, n)]
+            ambient, [{p: 1} for p in _hyperedge_positions(h, n)]
         )
         if n + 1 <= top:
-            above = _hyperedge_positions(h, k, n + 1)
-            d_above = k.boundaries[n + 1]
+            d_above = c.boundaries[n + 1]
             image = SparseIntMatrix.from_columns(
-                ambient, [dict(d_above._cols[p]) for p in above]
+                ambient, [dict(d_above._cols[p]) for p in _hyperedge_positions(h, n + 1)]
             )
         else:
             image = SparseIntMatrix(ambient, 0)
         bases.append(lattice_sum_basis(span, image))
-    return GradedSubmodule(k.boundaries, tuple(bases))
+    return GradedSubmodule(c.boundaries, tuple(bases), c)
 
 
 def embedded_homology(

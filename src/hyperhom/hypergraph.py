@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, Iterable, Sequence
@@ -25,7 +27,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 from .errors import FormatError, ValidationError
 
 if TYPE_CHECKING:
-    from .homology import GradedSubmodule
+    from .homology import GradedSubmodule, SimplexCoordinates
     from .intlinalg import SparseIntMatrix
 
 
@@ -118,6 +120,14 @@ class Hypergraph:
     def closure(self) -> SimplicialComplex:
         """The downward closure, see :func:`associated_complex`."""
         return associated_complex(self)
+
+    @cached_property
+    def coordinates(self) -> SimplexCoordinates:
+        """The facet coordinates shared by the infimum and supremum, see
+        :func:`hyperhom.homology.facet_coordinates`."""
+        from .homology import facet_coordinates
+
+        return facet_coordinates(self)
 
     @cached_property
     def inf(self) -> GradedSubmodule:
@@ -283,6 +293,22 @@ def dumps_structured(h: Hypergraph) -> str:
     return json.dumps(to_structured(h), indent=2) + "\n"
 
 
+# ------------------------------------------------------------- admission
+
+# Largest closure or product that associated_complex or product_boxtimes
+# will start on: a k-vertex hyperedge alone has 2^k - 1 faces, so wide
+# inputs are refused up front.
+MAX_SIMPLICES = 1 << 20
+
+
+def _admit(count: int, what: str) -> None:
+    if count > MAX_SIMPLICES:
+        raise ValidationError(
+            f"{what} could have {count} simplices, more than the limit of "
+            f"{MAX_SIMPLICES}"
+        )
+
+
 # --------------------------------------------------------------- closure
 
 
@@ -290,8 +316,17 @@ def associated_complex(h: Hypergraph) -> SimplicialComplex:
     """Downward closure: the smallest simplicial complex containing h.
 
     Keeps h's vertex set and order; adds every nonempty subset of every
-    hyperedge.
+    hyperedge. Refused with ValidationError, before any work, when the
+    bound sum of 2^|e| - 1 exceeds MAX_SIMPLICES. Should the sum over
+    all hyperedges exceed it, the sum is taken again without the
+    hyperedges that are facets of another (whose subsets that one
+    covers), so a closed input counts only its maximal simplices.
     """
+    bound = sum((1 << len(e)) - 1 for e in h.edges)
+    if bound > MAX_SIMPLICES:
+        facets = {f for e in h.edges for f in itertools.combinations(e, len(e) - 1)}
+        bound = sum((1 << len(e)) - 1 for e in h.edges if e not in facets)
+    _admit(bound, "the closure")
     closed: set[tuple[int, ...]] = set()
     for e in h.edges:
         for k in range(1, len(e) + 1):
@@ -347,7 +382,9 @@ def product_boxtimes(h: Hypergraph, h2: Hypergraph) -> Hypergraph:
     pair of hyperedges, deduplicated. The result is usually not closed.
 
     The last few products are memoized, so every check on one pair
-    reads the same product value and shares its derived data.
+    reads the same product value and shares its derived data. Refused
+    with ValidationError, before any work, when the bound sum of
+    C(p+q, p) over hyperedge pairs exceeds MAX_SIMPLICES.
 
     Factor tokens may not contain ``|``: the product serializes its
     vertices as ``left|right`` and nested bars would not round-trip.
@@ -356,6 +393,15 @@ def product_boxtimes(h: Hypergraph, h2: Hypergraph) -> Hypergraph:
         bad = [t for t in g.vertices if "|" in t]
         if bad:
             raise ValidationError(f"'|' is reserved for product vertices: {bad}")
+    sizes, sizes2 = Counter(map(len, h.edges)), Counter(map(len, h2.edges))
+    _admit(
+        sum(
+            a * b * math.comb(p + q - 2, p - 1)
+            for p, a in sizes.items()
+            for q, b in sizes2.items()
+        ),
+        "the product",
+    )
     width = len(h2.vertices)
     edges: set[tuple[int, ...]] = set()
     for sigma in h.edges:

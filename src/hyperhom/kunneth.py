@@ -269,8 +269,8 @@ def inf_tensor_basis(
             if p > mi.top_degree or q > mi2.top_degree:
                 continue
             bl, br = mi.bases[p], mi2.bases[q]
-            lsimp = ctx.left.simplices_of_dim(p)
-            rsimp = ctx.right.simplices_of_dim(q)
+            lsimp = mi.coordinates.simplices_of_dim(p)
+            rsimp = mi2.coordinates.simplices_of_dim(q)
             for i in range(bl.ncols):
                 xi = bl.column(i)
                 for j in range(br.ncols):
@@ -449,7 +449,9 @@ def field_kunneth_check(
     return kunneth_check(h, h2, field)
 
 
-def restricted_chainmap_check(h: Hypergraph, h2: Hypergraph) -> ChainMapReport:
+def restricted_chainmap_check(
+    h: Hypergraph, h2: Hypergraph, verify: bool = False
+) -> ChainMapReport:
     """Verify the chain-map identities on every basis column.
 
     For each tensor infimum basis chain x: the shuffle image lies in
@@ -457,12 +459,15 @@ def restricted_chainmap_check(h: Hypergraph, h2: Hypergraph) -> ChainMapReport:
     front/back-face map returns exactly x. For each product infimum
     basis chain c: the front/back-face image lies in the tensor
     infimum and commutes with the boundaries. Any failure raises
-    IntegrityError naming the offending chain.
+    IntegrityError naming the offending chain. With ``verify`` the
+    tensor infimum is also recomputed directly, see
+    :func:`inf_tensor_basis`.
     """
     ctx = ProductContext.from_hypergraphs(h, h2)
     tctx = TensorContext(ctx.left, ctx.right)
-    tensor_inf = inf_tensor_basis(h, h2)
+    tensor_inf = inf_tensor_basis(h, h2, verify=verify)
     product_inf = product_boxtimes(h, h2).inf
+    coords = product_inf.coordinates
     checked_t = checked_p = 0
     for n in range(tensor_inf.top_degree + 1):
         tb = tensor_inf.bases[n]
@@ -472,7 +477,8 @@ def restricted_chainmap_check(h: Hypergraph, h2: Hypergraph) -> ChainMapReport:
         for j in range(tb.ncols):
             x = tctx.from_vector(n, tb.column(j))
             mx = ez_map(x, ctx)
-            if product_solver.solve(chain_to_vector(mx, ctx.product)) is None:
+            vec = chain_to_vector(mx, coords)
+            if vec is None or product_solver.solve(vec) is None:
                 raise IntegrityError(
                     f"shuffle image of tensor basis column {j} (degree {n}) "
                     "is outside the product infimum"
@@ -489,7 +495,7 @@ def restricted_chainmap_check(h: Hypergraph, h2: Hypergraph) -> ChainMapReport:
                 )
             checked_t += 1
         for j in range(pb.ncols):
-            c = chain_from_vector(ctx.product, n, pb.column(j))
+            c = chain_from_vector(coords, n, pb.column(j))
             nc = aw_map(c, ctx)
             if tensor_solver.solve(tctx.to_vector(nc)) is None:
                 raise IntegrityError(

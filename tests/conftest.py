@@ -13,14 +13,14 @@ settings.load_profile("suite")
 @pytest.fixture
 def spy(monkeypatch):
     """``spy(module, name)`` wraps module.name for the test and returns
-    the list that records the positional arguments of each call."""
+    the list that records the arguments of each call as (args, kwargs)."""
 
     def install(module, name: str) -> list:
         calls = []
         real = getattr(module, name)
 
         def recorded(*args, **kwargs):
-            calls.append(args)
+            calls.append((args, kwargs))
             return real(*args, **kwargs)
 
         monkeypatch.setattr(module, name, recorded)

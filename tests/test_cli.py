@@ -3,13 +3,17 @@
 from __future__ import annotations
 
 import json
+import time
 
 import hyperhom.cli as cli
 import hyperhom.homology as homology
+import hyperhom.hypergraph as hypergraph
+import hyperhom.kunneth as kunneth
 from hyperhom.cli import main
 from hyperhom.errors import IntegrityError
-from hyperhom.examples import triangle_boundary
+from hyperhom.examples import projective_plane, triangle_boundary
 from hyperhom.fuzz import FuzzConfig, FuzzFailure, FuzzReport
+from hyperhom.homology import embedded_homology, parse_coefficient
 from hyperhom.hypergraph import (
     associated_complex,
     hypergraph_from_edges,
@@ -216,6 +220,52 @@ def test_validation_failures_exit_2(tmp_path, capsys) -> None:
     ):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "") and "error:" in err
+
+
+def test_wide_hyperedge_closure_is_refused_and_homology_never_builds_it(
+    tmp_path, capsys
+) -> None:
+    # one 30-vertex hyperedge: its closure has 2^30 - 1 simplices
+    wide = write(tmp_path, "wide.txt", " ".join(f"v{i:02d}" for i in range(30)) + "\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "closure", wide)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "") and "limit" in err
+    start = time.perf_counter()
+    code, out, err = run(capsys, "homology", wide, "--verify")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and err == ""
+    assert out.splitlines()[1:] == [f"H_{n} = 0" for n in range(31)]
+
+
+def test_oversized_product_is_refused(tmp_path, capsys) -> None:
+    # two 16-vertex hyperedges: C(30, 15) lattice paths
+    left = write(tmp_path, "l.txt", " ".join(f"a{i:02d}" for i in range(16)) + "\n")
+    right = write(tmp_path, "r.txt", " ".join(f"b{i:02d}" for i in range(16)) + "\n")
+    for command in ("product", "kunneth"):
+        code, out, err = run(capsys, command, left, right)
+        assert (code, out) == (2, "") and "limit" in err
+
+
+def test_homology_never_builds_the_closure(tmp_path, capsys, spy) -> None:
+    rp2 = projective_plane()
+    path = write(tmp_path, "h.txt", "v0\nv0 v1\nv1 v2 v3\nv0 v2 v3\n")
+    calls = spy(hypergraph, "associated_complex")
+    for coeff in ("z", "q", "zp:2", "zp:3"):
+        assert run(capsys, "homology", path, "--verify", "--coeff", coeff)[0] == 0
+        embedded_homology(rp2, parse_coefficient(coeff), verify=True)
+    assert calls == []
+
+
+def test_kunneth_verify_builds_the_tensor_infimum_once(tmp_path, capsys, spy) -> None:
+    left = write(tmp_path, "l.txt", SEGMENT_WITH_POINT)
+    right = write(tmp_path, "r.txt", "w1\nw0 w1\n")
+    tensor_calls = spy(kunneth, "inf_tensor_basis")
+    direct_calls = spy(kunneth, "inf_bases_of_span")
+    assert run(capsys, "kunneth", left, right, "--verify")[0] == 0
+    assert [kwargs for _, kwargs in tensor_calls] == [{"verify": True}]
+    # the direct recomputation of the tensor infimum still runs
+    assert len(direct_calls) == 1
 
 
 def test_kunneth_mismatch_exits_3_and_still_prints_report(

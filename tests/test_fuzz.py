@@ -6,6 +6,7 @@ import pytest
 
 import hyperhom.fuzz as fuzz
 import hyperhom.homology as homology
+import hyperhom.kunneth as kunneth
 from hyperhom.examples import projective_plane, vertex_hypergraph
 from hyperhom.fuzz import FuzzConfig, check_pair, instance_pair, run_fuzz
 from hyperhom.hypergraph import (
@@ -56,10 +57,30 @@ def test_check_pair_computes_each_derived_value_once(spy) -> None:
         name: spy(homology, name)
         for name in ("inf_chain", "sup_chain", "restricted_boundaries")
     }
+    tensor_calls = spy(kunneth, "inf_tensor_basis")
     assert check_pair(h, h2) is None
     # once per hypergraph (both factors and the product) and route
     counts = {name: len(c) for name, c in calls.items()}
     assert counts == {"inf_chain": 3, "sup_chain": 3, "restricted_boundaries": 6}
+    # one tensor infimum, without the direct recomputation
+    assert [kwargs.get("verify", False) for _, kwargs in tensor_calls] == [False]
+
+
+def test_shuffle_image_outside_the_product_coordinates_is_a_chain_map_failure(
+    monkeypatch,
+) -> None:
+    real_ez_map = kunneth.ez_map
+
+    def leaky_ez_map(t, ctx):
+        stray = tuple(range(10**6, 10**6 + t.degree + 1))  # no product vertex
+        return real_ez_map(t, ctx) + homology.ChainElement.of_simplex(stray)
+
+    monkeypatch.setattr(kunneth, "ez_map", leaky_ez_map)
+    h = hypergraph_from_edges([["v0"], ["v0", "v1"]])
+    h2 = hypergraph_from_edges([["w1"], ["w0", "w1"]])
+    outcome = check_pair(h, h2)
+    assert outcome is not None and outcome[0] == "chain-map"
+    assert "outside the product infimum" in outcome[1]
 
 
 def test_universal_coefficient_check_catches_a_wrong_field_rank(monkeypatch) -> None:

@@ -4,7 +4,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hyperhom.homology as homology
-from homology_oracle import oracle_classical_homology, oracle_submodule_homology
+from homology_oracle import (
+    oracle_classical_homology,
+    oracle_inf_chain,
+    oracle_submodule_homology,
+    oracle_sup_chain,
+)
 from hyperhom.abelian import FGAbelianGroup
 from hyperhom.errors import IntegrityError, ValidationError
 from hyperhom.examples import (
@@ -20,6 +25,7 @@ from hyperhom.homology import (
     Coefficient,
     GradedSubmodule,
     boundary_matrix,
+    chain_from_vector,
     classical_homology,
     embedded_homology,
     inf_chain,
@@ -47,6 +53,23 @@ def small_hypergraphs(max_vertices=6, max_dim=3):
         density=st.floats(0.1, 0.8),
         seed=st.integers(0, 10**6),
     )
+
+
+@st.composite
+def sparse_wide_hypergraphs(draw, min_width=8, max_width=12):
+    """One hyperedge of min_width..max_width vertices plus a few small
+    hyperedges; extra vertices hang off the wide one by an edge."""
+    width = draw(st.integers(min_width, max_width))
+    n = width + draw(st.integers(0, 3))
+    small = draw(
+        st.lists(
+            st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True),
+            max_size=5,
+        )
+    )
+    anchors = [[draw(st.integers(0, width - 1)), v] for v in range(width, n)]
+    edges = [list(range(width))] + small + anchors
+    return hypergraph_from_edges([[f"w{v:02d}" for v in e] for e in edges])
 
 
 ALL_COEFFS = [INTEGERS, RATIONALS, mod_p(2), mod_p(3)]
@@ -105,8 +128,8 @@ def test_inf_of_path_with_cap():
     m = inf_chain(h)
     # only the 0-hyperedge {v0} survives; degrees 1 and 2 collapse
     assert [m.basis_rank(n) for n in range(m.top_degree + 1)] == [1, 0, 0, 0]
-    k = associated_complex(h)
-    assert m.bases[0].column(0) == {k.simplex_positions(0)[(k.vertices.index("v0"),)]: 1}
+    pos = m.coordinates.simplex_positions(0)
+    assert m.bases[0].column(0) == {pos[(h.vertices.index("v0"),)]: 1}
 
 
 def test_inf_of_closed_complex_is_full_span():
@@ -117,12 +140,11 @@ def test_inf_of_closed_complex_is_full_span():
 
 def test_inf_membership_for_edge_path():
     h, _ = tensor_membership_pair()
-    k = associated_complex(h)
-    pos = k.simplex_positions(1)
-    v1, v2, v3 = (k.vertices.index(t) for t in ("v1", "v2", "v3"))
+    m = inf_chain(h)
+    pos = m.coordinates.simplex_positions(1)
+    v1, v2, v3 = (h.vertices.index(t) for t in ("v1", "v2", "v3"))
     e12 = pos[(v1, v2)]
     e23 = pos[(v2, v3)]
-    m = inf_chain(h)
     # boundary of {v1,v2} + {v2,v3} is {v3} - {v1}, inside the hyperedge span
     assert m.contains(1, {e12: 1, e23: 1})
     # but {v1,v2} alone exposes {v2}, which is not a hyperedge
@@ -136,7 +158,9 @@ def test_inf_membership_for_edge_path():
 def test_sup_adjoins_boundary_of_top_cell():
     h = parse_hypergraph("v0\nv0 v1 v2\n")
     s = sup_chain(h)
-    assert s.bases[1].to_rows() == [[1], [-1], [1]]
+    pos = s.coordinates.simplex_positions(1)
+    assert s.bases[1].nrows == len(pos) == 3 and s.bases[1].ncols == 1
+    assert s.bases[1].column(0) == {pos[(0, 1)]: 1, pos[(0, 2)]: -1, pos[(1, 2)]: 1}
     assert [s.basis_rank(n) for n in range(s.top_degree + 1)] == [1, 1, 1, 0]
 
 
@@ -144,6 +168,62 @@ def test_sup_of_closed_complex_is_full_span():
     k = triangle_boundary()
     s = sup_chain(k)
     assert [s.basis_rank(n) for n in range(s.top_degree + 1)] == [3, 3, 0]
+
+
+# ------------------------------------------------------ facet coordinates
+
+
+def test_coordinates_are_hyperedges_and_their_facets():
+    h = parse_hypergraph("v0\nv0 v1 v2\n")
+    assert h.coordinates.simplices == (((0,),), ((0, 1), (0, 2), (1, 2)), ((0, 1, 2),), ())
+    # the faces {v1} and {v2} are no coordinates of degree 0: each gets an
+    # overflow row after the row of {v0}
+    d1 = h.coordinates.boundaries[1]
+    assert d1.nrows == 3
+    assert [d1.column(j) for j in range(3)] == [{0: -1, 1: 1}, {0: -1, 2: 1}, {1: -1, 2: 1}]
+
+
+def test_face_outside_the_coordinates_is_refused():
+    h = parse_hypergraph("v0\nv0 v1 v2\n")
+    c = h.coordinates
+    # the bare facet {v0,v1}: its face {v1} is no coordinate of degree 0,
+    # so only an overflow row shows that its image leaves the span of {v0}
+    facet = SparseIntMatrix.from_columns(3, [{c.simplex_positions(1)[(0, 1)]: 1}])
+    bases = (
+        SparseIntMatrix.identity(1),
+        facet,
+        SparseIntMatrix(1, 0),
+        SparseIntMatrix(0, 0),
+    )
+    m = GradedSubmodule(c.boundaries, bases, c)
+    with pytest.raises(IntegrityError, match="outside the degree-0 coordinates"):
+        restricted_boundaries(m)
+
+
+def _basis_chains(m, n):
+    b = m.bases[n]
+    return [chain_from_vector(m.coordinates, n, b.column(j)) for j in range(b.ncols)]
+
+
+def _assert_matches_closure_oracle(h):
+    for mine, oracle in ((h.inf, oracle_inf_chain(h)), (h.sup, oracle_sup_chain(h))):
+        assert mine.top_degree == oracle.top_degree
+        for n in range(mine.top_degree + 1):
+            assert _basis_chains(mine, n) == _basis_chains(oracle, n)
+        for coeff in (INTEGERS, RATIONALS, mod_p(2)):
+            assert mine.homology(coeff) == submodule_homology(oracle, coeff), coeff
+
+
+@settings(max_examples=40)
+@given(small_hypergraphs())
+def test_facet_coordinates_match_the_closure_oracle(h):
+    _assert_matches_closure_oracle(h)
+
+
+@settings(max_examples=25)
+@given(sparse_wide_hypergraphs())
+def test_facet_coordinates_match_the_closure_oracle_on_wide_hyperedges(h):
+    _assert_matches_closure_oracle(h)
 
 
 # ----------------------------------------------------- chain property, D@D

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from hyperhom.errors import FormatError, ValidationError
 from hyperhom.hypergraph import (
+    MAX_SIMPLICES,
     Hypergraph,
     SimplicialComplex,
     associated_complex,
@@ -162,6 +163,19 @@ def test_closure_idempotent_and_minimal(h):
     assert associated_complex(k) == k
     tops = [set(e) for e in h.edges]
     assert all(any(set(s) <= t for t in tops) for s in k.edges)
+
+
+def test_closure_admission_counts_only_maximal_simplices_of_a_closed_input():
+    # the 13-vertex sphere: 13 facets of 12 vertices, closure 2^13 - 2 simplices
+    tokens = [f"s{i:02d}" for i in range(13)]
+    k = associated_complex(hypergraph_from_edges(itertools.combinations(tokens, 12)))
+    assert len(k.edges) == 2**13 - 2
+    # summed over every simplex the bound would pass MAX_SIMPLICES
+    assert sum(2 ** len(s) - 1 for s in k.edges) > MAX_SIMPLICES
+    assert associated_complex(k) == k
+    wide = hypergraph_from_edges([[f"v{i:02d}" for i in range(21)]])
+    with pytest.raises(ValidationError, match="limit"):
+        associated_complex(wide)
 
 
 def test_closure_keeps_vertex_order():
