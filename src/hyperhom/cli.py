@@ -16,6 +16,7 @@ from pathlib import Path
 
 from .errors import HyperhomError, ValidationError, VerificationError
 from .homology import (
+    INTEGERS,
     Coefficient,
     ChainElement,
     embedded_homology,
@@ -45,22 +46,25 @@ from .kunneth import (
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One resolved invocation."""
+    """One resolved invocation; every default lives here."""
 
     command: str
-    inputs: tuple[str, ...]
-    coeff: Coefficient
-    verify: bool
-    seed: int
-    out_format: str
-    max_dim: int | None
-    out_path: str | None
+    inputs: tuple[str, ...] = ()
+    coeff: Coefficient = INTEGERS
+    verify: bool = False
+    seed: int = 0
+    out_format: str = "text"
+    max_dim: int | None = None
+    out_path: str | None = None
     closure: bool = False
     count: int = 100
     max_vertices: int = 6
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """Each subcommand takes only the flags it reads. Flags left out of
+    argv stay out of the namespace, so :class:`RunConfig` supplies every
+    default."""
     parser = argparse.ArgumentParser(
         prog="hyperhom",
         description="Embedded homology of hypergraphs, lattice-path products, "
@@ -69,12 +73,32 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name: str, help_text: str, n_inputs: int) -> argparse.ArgumentParser:
-        sp = sub.add_parser(name, help=help_text)
+        sp = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
         if n_inputs:
             sp.add_argument("inputs", nargs=n_inputs, metavar="FILE")
         sp.add_argument(
+            "--format",
+            dest="out_format",
+            choices=("text", "structured"),
+            help="report format",
+        )
+        sp.add_argument("--out", dest="out_path", metavar="FILE", help="write output to this path")
+        return sp
+
+    homology = add("homology", "embedded homology of one hypergraph", 1)
+    product = add("product", "lattice-path product of two hypergraphs", 2)
+    product.add_argument(
+        "--closure",
+        action="store_true",
+        help="emit the associated simplicial complex of the product",
+    )
+    add("closure", "downward closure of one hypergraph", 1)
+    kunneth = add("kunneth", "verify the Kunneth formula for a pair", 2)
+    add("ez-aw-demo", "print the shuffle and front/back-face tables for a square", 0)
+    fuzz = add("fuzz", "randomized verification campaign", 0)
+    for sp in (homology, kunneth):
+        sp.add_argument(
             "--coeff",
-            default="z",
             help="coefficients: z (integers), q (rationals), zp:<p> (prime field)",
         )
         sp.add_argument(
@@ -83,55 +107,21 @@ def _build_parser() -> argparse.ArgumentParser:
             help="also run the redundant pipelines (infimum vs supremum, "
             "direct vs tensored infimum, chain-map identities)",
         )
-        sp.add_argument("--seed", type=int, default=0, help="random seed")
-        sp.add_argument(
-            "--format",
-            dest="out_format",
-            choices=("text", "structured"),
-            default="text",
-            help="report format",
-        )
-        sp.add_argument(
-            "--max-dim",
-            type=int,
-            default=None,
-            help="highest homology degree to report (fuzz: factor dimension bound)",
-        )
-        sp.add_argument("--out", default=None, help="write output to this path")
-        return sp
-
-    add("homology", "embedded homology of one hypergraph", 1)
-    product = add("product", "lattice-path product of two hypergraphs", 2)
-    product.add_argument(
-        "--closure",
-        action="store_true",
-        help="emit the associated simplicial complex of the product",
-    )
-    add("closure", "downward closure of one hypergraph", 1)
-    add("kunneth", "verify the Kunneth formula for a pair", 2)
-    add("ez-aw-demo", "print the shuffle and front/back-face tables for a square", 0)
-    fuzz = add("fuzz", "randomized verification campaign", 0)
-    fuzz.add_argument("--count", type=int, default=100, help="number of instance pairs")
-    fuzz.add_argument(
-        "--max-vertices", type=int, default=6, help="vertex bound per factor"
-    )
+    homology.add_argument("--max-dim", type=int, help="highest homology degree to report")
+    fuzz.add_argument("--max-dim", type=int, help="factor dimension bound")
+    fuzz.add_argument("--seed", type=int, help="random seed")
+    fuzz.add_argument("--count", type=int, help="number of instance pairs")
+    fuzz.add_argument("--max-vertices", type=int, help="vertex bound per factor")
     return parser
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        inputs=tuple(getattr(args, "inputs", ()) or ()),
-        coeff=parse_coefficient(args.coeff),
-        verify=args.verify,
-        seed=args.seed,
-        out_format=args.out_format,
-        max_dim=args.max_dim,
-        out_path=args.out,
-        closure=getattr(args, "closure", False),
-        count=getattr(args, "count", 100),
-        max_vertices=getattr(args, "max_vertices", 6),
-    )
+    fields = dict(vars(args))
+    if "inputs" in fields:
+        fields["inputs"] = tuple(fields["inputs"])
+    if "coeff" in fields:
+        fields["coeff"] = parse_coefficient(fields["coeff"])
+    return RunConfig(**fields)
 
 
 def _read_hypergraph(path: str) -> Hypergraph:

@@ -32,7 +32,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .abelian import FGAbelianGroup
 from .errors import IntegrityError, ValidationError
@@ -48,6 +48,9 @@ from .intlinalg import (
     rank,
     rank_mod_p,
 )
+
+if TYPE_CHECKING:
+    from .kunneth import TensorContext
 
 # ------------------------------------------------------------ coefficients
 
@@ -120,14 +123,6 @@ class ChainElement:
                 raise ValueError(f"simplex {s} has the wrong dimension")
             if c == 0:
                 raise ValueError("zero coefficients must be dropped")
-
-    @classmethod
-    def make(cls, degree: int, items) -> "ChainElement":
-        acc: dict[tuple[int, ...], int] = {}
-        for s, c in dict(items).items():
-            if c:
-                acc[tuple(s)] = c
-        return cls(degree, acc)
 
     @classmethod
     def of_simplex(cls, s: tuple[int, ...]) -> "ChainElement":
@@ -290,7 +285,8 @@ class GradedSubmodule:
     """A graded submodule of a chain complex, one basis per degree.
 
     ``bases[n]`` holds basis columns in ambient degree-n coordinates;
-    ``coordinates``, when given, names those coordinates (simplex
+    ``coordinates``, when given, names those coordinates (simplex, or
+    simplex pair for a tensor context,
     ``coordinates.simplices_of_dim(n)[i]`` is row i of ``bases[n]``).
     ``boundaries[n]`` is the ambient boundary matrix out of degree n: its
     first rows are the degree n-1 coordinates, and any rows past them are
@@ -301,7 +297,7 @@ class GradedSubmodule:
 
     boundaries: tuple[SparseIntMatrix, ...]
     bases: tuple[SparseIntMatrix, ...]
-    coordinates: SimplexCoordinates | SimplicialComplex | None = None
+    coordinates: SimplexCoordinates | SimplicialComplex | TensorContext | None = None
 
     def __post_init__(self) -> None:
         if len(self.boundaries) != len(self.bases):

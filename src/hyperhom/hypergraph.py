@@ -55,6 +55,9 @@ class Hypergraph:
         if len(set(self.vertices)) != n:
             raise ValidationError("duplicate vertex tokens")
         covered: set[int] = set()
+        # canonical order is strictly increasing (dimension, vertices)
+        # keys: sorted and duplicate-free, checked in the same pass
+        last: tuple = (0, ())
         for e in self.edges:
             if not e:
                 raise ValidationError("empty hyperedge")
@@ -63,8 +66,10 @@ class Hypergraph:
             if any(a >= b for a, b in zip(e, e[1:])):
                 raise ValidationError(f"hyperedge not strictly increasing: {e}")
             covered.update(e)
-        if self.edges != _canonical_edges(self.edges):
-            raise ValidationError("hyperedges not in canonical order")
+            key = (len(e), e)
+            if key <= last:
+                raise ValidationError("hyperedges not in canonical order")
+            last = key
         if covered != set(range(n)):
             missing = [self.vertices[i] for i in sorted(set(range(n)) - covered)]
             raise ValidationError(f"vertices in no hyperedge: {missing}")

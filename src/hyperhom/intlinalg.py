@@ -67,6 +67,19 @@ def _dict_scale(d: dict[int, int], f: int) -> None:
         d[k] *= f
 
 
+def _combine(
+    u: Mapping[int, int], v: Mapping[int, int], x: int, y: int, z: int, w: int
+) -> tuple[dict[int, int], dict[int, int]]:
+    """The 2x2 move (u, v) -> (x*u + y*v, z*u + w*v) on sparse lines."""
+    s: dict[int, int] = {}
+    _dict_addmul(s, u, x)
+    _dict_addmul(s, v, y)
+    t: dict[int, int] = {}
+    _dict_addmul(t, u, z)
+    _dict_addmul(t, v, w)
+    return s, t
+
+
 class SparseIntMatrix:
     """Immutable sparse integer matrix with explicit row and column counts.
 
@@ -225,12 +238,7 @@ class _Echelon:
                 _dict_addmul(vec, row, -(b // a))
             else:
                 g, x, y = xgcd(a, b)
-                merged: dict[int, int] = {}
-                _dict_addmul(merged, row, x)
-                _dict_addmul(merged, vec, y)
-                _dict_scale(vec, a // g)
-                _dict_addmul(vec, row, -(b // g))
-                self.rows[j] = merged
+                self.rows[j], vec = _combine(row, vec, x, y, -(b // g), a // g)
 
     def reduce(self, vec: dict[int, int]) -> dict[int, int]:
         """Reduce vec against the store without inserting.
@@ -435,84 +443,37 @@ def _smith(
         lt = [{i: 1} for i in range(m)]  # row dicts of the cumulative left transform
         rt = [{j: 1} for j in range(n)]  # column dicts of the cumulative right transform
 
-    def row_addmul(dst: int, src: int, f: int) -> None:
+    # Each move acts on lines of one store, keeps the other store's mirror
+    # entries in step and carries the transform on that side: row moves are
+    # called as (rows, cols, lt), column moves as (cols, rows, rt).
+
+    def addmul(lines, mirror, t, dst: int, src: int, f: int) -> None:
+        # line dst += f * line src
         if not f:
             return
-        rdst = rows[dst]
-        for j, v in list(rows[src].items()):
-            w = rdst.get(j, 0) + f * v
+        line = lines[dst]
+        for k, v in lines[src].items():
+            w = line.get(k, 0) + f * v
             if w:
-                rdst[j] = w
-                cols[j][dst] = w
+                line[k] = w
+                mirror[k][dst] = w
             else:
-                rdst.pop(j, None)
-                cols[j].pop(dst, None)
-        if lt is not None:
-            _dict_addmul(lt[dst], lt[src], f)
+                del line[k]
+                del mirror[k][dst]
+        if t is not None:
+            _dict_addmul(t[dst], t[src], f)
 
-    def col_addmul(dst: int, src: int, f: int) -> None:
-        if not f:
-            return
-        cdst = cols[dst]
-        for i, v in list(cols[src].items()):
-            w = cdst.get(i, 0) + f * v
-            if w:
-                cdst[i] = w
-                rows[i][dst] = w
-            else:
-                cdst.pop(i, None)
-                rows[i].pop(dst, None)
-        if rt is not None:
-            _dict_addmul(rt[dst], rt[src], f)
-
-    def row_pair(i1: int, i2: int, x: int, y: int, z: int, w: int) -> None:
-        # (row i1, row i2) <- (x*r1 + y*r2, z*r1 + w*r2); det must be +-1
-        keys = set(rows[i1]) | set(rows[i2])
-        for j in keys:
-            a0 = rows[i1].get(j, 0)
-            b0 = rows[i2].get(j, 0)
-            for i, v in ((i1, x * a0 + y * b0), (i2, z * a0 + w * b0)):
-                if v:
-                    rows[i][j] = v
-                    cols[j][i] = v
-                else:
-                    rows[i].pop(j, None)
-                    cols[j].pop(i, None)
-        if lt is not None:
-            r1 = dict(lt[i1])
-            r2 = dict(lt[i2])
-            new1: dict[int, int] = {}
-            _dict_addmul(new1, r1, x)
-            _dict_addmul(new1, r2, y)
-            new2: dict[int, int] = {}
-            _dict_addmul(new2, r1, z)
-            _dict_addmul(new2, r2, w)
-            lt[i1] = new1
-            lt[i2] = new2
-
-    def col_pair(j1: int, j2: int, x: int, y: int, z: int, w: int) -> None:
-        keys = set(cols[j1]) | set(cols[j2])
-        for i in keys:
-            a0 = cols[j1].get(i, 0)
-            b0 = cols[j2].get(i, 0)
-            for j, v in ((j1, x * a0 + y * b0), (j2, z * a0 + w * b0)):
-                if v:
-                    cols[j][i] = v
-                    rows[i][j] = v
-                else:
-                    cols[j].pop(i, None)
-                    rows[i].pop(j, None)
-        if rt is not None:
-            c1 = dict(rt[j1])
-            c2 = dict(rt[j2])
-            new1 = {}
-            _dict_addmul(new1, c1, x)
-            _dict_addmul(new1, c2, y)
-            new2 = {}
-            _dict_addmul(new2, c1, z)
-            _dict_addmul(new2, c2, w)
-            rt[j1] = new1
-            rt[j2] = new2
+    def pair(lines, mirror, t, k1: int, k2: int, x: int, y: int, z: int, w: int) -> None:
+        # (line k1, line k2) <- (x*l1 + y*l2, z*l1 + w*l2); det must be +-1
+        for k in (k1, k2):
+            for l in lines[k]:
+                del mirror[l][k]
+        lines[k1], lines[k2] = _combine(lines[k1], lines[k2], x, y, z, w)
+        for k in (k1, k2):
+            for l, v in lines[k].items():
+                mirror[l][k] = v
+        if t is not None:
+            t[k1], t[k2] = _combine(t[k1], t[k2], x, y, z, w)
 
     def choose_pivot() -> tuple[int, int] | None:
         if pivot_order == "ordered":
@@ -540,27 +501,23 @@ def _smith(
         if pv is None:
             break
         i, j = pv
+        # clear the pivot's column with row moves, then its row with column
+        # moves; a non-divisible entry takes a gcd pair move and restarts
+        passes = ((rows, cols, lt, i, j), (cols, rows, rt, j, i))
         while True:
             p = rows[i][j]
-            col = cols[j]
-            bad = min((k for k, v in col.items() if k != i and v % p), default=None)
-            if bad is not None:
-                b = col[bad]
-                g, x, y = xgcd(p, b)
-                row_pair(i, bad, x, y, -(b // g), p // g)
-                continue
-            for k, v in [(k, v) for k, v in col.items() if k != i]:
-                row_addmul(k, i, -(v // p))
-            row = rows[i]
-            bad = min((l for l, v in row.items() if l != j and v % p), default=None)
-            if bad is not None:
-                b = row[bad]
-                g, x, y = xgcd(p, b)
-                col_pair(j, bad, x, y, -(b // g), p // g)
-                continue
-            for l, v in [(l, v) for l, v in row.items() if l != j]:
-                col_addmul(l, j, -(v // p))
-            break
+            for lines, mirror, t, k0, l0 in passes:
+                cross = mirror[l0]
+                bad = min((k for k, v in cross.items() if k != k0 and v % p), default=None)
+                if bad is not None:
+                    b = cross[bad]
+                    g, x, y = xgcd(p, b)
+                    pair(lines, mirror, t, k0, bad, x, y, -(b // g), p // g)
+                    break
+                for k, v in [(k, v) for k, v in cross.items() if k != k0]:
+                    addmul(lines, mirror, t, k, k0, -(v // p))
+            else:
+                break
         v = rows[i].pop(j)
         cols[j].pop(i)
         pivots.append((i, j, v))
@@ -579,30 +536,11 @@ def _smith(
             if db % da == 0:
                 continue
             g, x, y = xgcd(da, db)
-            lcm = da // g * db
             if lt is not None and rt is not None:
-                r1 = dict(lt[i1])
-                r2 = dict(lt[i2])
-                new1: dict[int, int] = {}
-                _dict_addmul(new1, r1, x)
-                _dict_addmul(new1, r2, y)
-                new2: dict[int, int] = {}
-                _dict_addmul(new2, r1, -(db // g))
-                _dict_addmul(new2, r2, da // g)
-                lt[i1] = new1
-                lt[i2] = new2
-                c1 = dict(rt[j1])
-                c2 = dict(rt[j2])
-                newc1: dict[int, int] = {}
-                _dict_addmul(newc1, c1, 1)
-                _dict_addmul(newc1, c2, 1)
-                newc2: dict[int, int] = {}
-                _dict_addmul(newc2, c1, -(y * db // g))
-                _dict_addmul(newc2, c2, x * da // g)
-                rt[j1] = newc1
-                rt[j2] = newc2
+                lt[i1], lt[i2] = _combine(lt[i1], lt[i2], x, y, -(db // g), da // g)
+                rt[j1], rt[j2] = _combine(rt[j1], rt[j2], 1, 1, -(y * db // g), x * da // g)
             pivots[ia] = (i1, j1, g)
-            pivots[ib] = (i2, j2, lcm)
+            pivots[ib] = (i2, j2, da // g * db)
 
     d = tuple(v for _, _, v in pivots)
     if not want_transforms:
@@ -647,60 +585,31 @@ def determinant(a: SparseIntMatrix) -> int:
 
 
 def rank_mod_p(a: SparseIntMatrix, p: int) -> int:
-    """Rank of ``a`` over the field Z/p (p prime)."""
+    """Rank of ``a`` over the field Z/p (p prime), by sparse elimination.
+
+    Pivot rows are kept monic and keyed by their pivot, their largest
+    index; each column of ``a``, reduced mod p, is cleared against them
+    in turn and becomes a new pivot row if anything is left. Pivoting on
+    the largest index keeps fill-in low on boundary matrices, as in
+    persistent homology's column reduction.
+    """
     if not is_prime(p):
         raise ValueError(f"modulus must be prime, got {p}")
-    if p == 2:
-        return _rank_mod_2(a)
-    return _rank_mod_odd(a, p)
-
-
-def _rank_mod_2(a: SparseIntMatrix) -> int:
-    # rows packed as bitmasks; elimination is bigint xor
-    bits: dict[int, int] = {}
-    for j in range(a.ncols):
-        for i, v in a._cols[j].items():
-            if v & 1:
-                bits[i] = bits.get(i, 0) ^ (1 << j)
-    pivots: dict[int, int] = {}
-    rnk = 0
-    for i in sorted(bits):
-        r = bits[i]
-        while r:
-            low = r & -r
-            other = pivots.get(low)
-            if other is None:
-                pivots[low] = r
-                rnk += 1
+    pivots: dict[int, dict[int, int]] = {}
+    for col in a._cols:
+        vec = {i: v % p for i, v in col.items() if v % p}
+        while vec:
+            i = max(vec)
+            row = pivots.get(i)
+            if row is None:
+                inv = pow(vec[i], -1, p)
+                pivots[i] = {k: v * inv % p for k, v in vec.items()}
                 break
-            r ^= other
-    return rnk
-
-
-def _rank_mod_odd(a: SparseIntMatrix, p: int) -> int:
-    rows = []
-    dense = a.to_rows()
-    for raw in dense:
-        row = [v % p for v in raw]
-        if any(row):
-            rows.append(row)
-    rnk = 0
-    ncols = a.ncols
-    for j in range(ncols):
-        piv = next((k for k in range(rnk, len(rows)) if rows[k][j]), None)
-        if piv is None:
-            continue
-        rows[rnk], rows[piv] = rows[piv], rows[rnk]
-        prow = rows[rnk]
-        inv = pow(prow[j], -1, p)
-        for k in range(rnk + 1, len(rows)):
-            f = rows[k][j]
-            if f:
-                fi = f * inv % p
-                rk = rows[k]
-                for l in range(j, ncols):
-                    rk[l] = (rk[l] - fi * prow[l]) % p
-        rnk += 1
-        if rnk == len(rows):
-            break
-    return rnk
+            f = vec[i]
+            for k, v in row.items():
+                w = (vec.get(k, 0) - f * v) % p
+                if w:
+                    vec[k] = w
+                else:
+                    vec.pop(k, None)
+    return len(pivots)

@@ -145,8 +145,13 @@ class TensorContext:
     def positions(self) -> tuple[dict[SimplexPair, int], ...]:
         return tuple({pair: i for i, pair in enumerate(b)} for b in self.bases)
 
+    def simplices_of_dim(self, n: int) -> tuple[SimplexPair, ...]:
+        """The degree-n basis pairs; names the rows of a submodule's bases
+        like the simplices of a complex do."""
+        return self.bases[n] if 0 <= n <= self.top_degree else ()
+
     def ambient_rank(self, n: int) -> int:
-        return len(self.bases[n]) if 0 <= n <= self.top_degree else 0
+        return len(self.simplices_of_dim(n))
 
     @cached_property
     def boundaries(self) -> tuple[SparseIntMatrix, ...]:
@@ -160,7 +165,7 @@ class TensorContext:
                     for key, v in img.terms.items():
                         m._cols[j][pos_below[key]] = v
             out.append(m)
-        return out
+        return tuple(out)
 
     def to_vector(self, t: TensorChain) -> dict[int, int]:
         if not 0 <= t.degree <= self.top_degree:
@@ -255,7 +260,8 @@ def inf_tensor_basis(
     verification mode the submodule is recomputed directly inside the
     tensor complex (kernel of the projected tensor boundary, the same
     construction used for a single hypergraph) and the two canonical
-    bases must be identical matrices.
+    bases must be identical matrices. The result's ``coordinates`` is
+    the :class:`TensorContext` that names its rows.
     """
     ctx = TensorContext(h.closure, h2.closure)
     mi, mi2 = h.inf, h2.inf
@@ -283,7 +289,7 @@ def inf_tensor_basis(
                         }
                     )
         bases.append(column_hnf(SparseIntMatrix.from_columns(ambient, cols)))
-    result = GradedSubmodule(tuple(ctx.boundaries), tuple(bases))
+    result = GradedSubmodule(ctx.boundaries, tuple(bases), ctx)
     if verify:
         generators = tuple(
             tuple(
@@ -294,7 +300,7 @@ def inf_tensor_basis(
             )
             for n in range(ctx.top_degree + 1)
         )
-        direct = inf_bases_of_span(tuple(ctx.boundaries), generators)
+        direct = inf_bases_of_span(ctx.boundaries, generators)
         for n, (got, want) in enumerate(zip(direct, result.bases)):
             if got != want:
                 raise IntegrityError(
@@ -464,8 +470,8 @@ def restricted_chainmap_check(
     :func:`inf_tensor_basis`.
     """
     ctx = ProductContext.from_hypergraphs(h, h2)
-    tctx = TensorContext(ctx.left, ctx.right)
     tensor_inf = inf_tensor_basis(h, h2, verify=verify)
+    tctx = tensor_inf.coordinates
     product_inf = product_boxtimes(h, h2).inf
     coords = product_inf.coordinates
     checked_t = checked_p = 0

@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 import time
 
+import pytest
+
 import hyperhom.cli as cli
 import hyperhom.homology as homology
 import hyperhom.hypergraph as hypergraph
@@ -220,6 +222,33 @@ def test_validation_failures_exit_2(tmp_path, capsys) -> None:
     ):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "") and "error:" in err
+
+
+# (command, input files, a flag it does not read)
+DROPPED_FLAGS = [
+    ("homology", 1, ("--seed", "1")),
+    ("kunneth", 2, ("--seed", "1")),
+    ("kunneth", 2, ("--max-dim", "1")),
+    ("fuzz", 0, ("--coeff", "q")),
+    ("fuzz", 0, ("--verify",)),
+] + [
+    (command, n_inputs, flag)
+    for command, n_inputs in (("product", 2), ("closure", 1), ("ez-aw-demo", 0))
+    for flag in (("--coeff", "q"), ("--verify",), ("--seed", "1"), ("--max-dim", "1"))
+]
+
+
+@pytest.mark.parametrize(
+    "command, n_inputs, flag",
+    DROPPED_FLAGS,
+    ids=[f"{command}{flag[0]}" for command, _, flag in DROPPED_FLAGS],
+)
+def test_flags_a_command_does_not_read_exit_1(
+    tmp_path, capsys, command, n_inputs, flag
+) -> None:
+    path = write(tmp_path, "h.txt", SEGMENT_WITH_POINT)
+    code, out, err = run(capsys, command, *[path] * n_inputs, *flag)
+    assert (code, out) == (1, "") and "unrecognized arguments" in err
 
 
 def test_wide_hyperedge_closure_is_refused_and_homology_never_builds_it(

@@ -125,6 +125,8 @@ def test_post_init_rejects_malformed():
         Hypergraph(("a",), ())  # no edges
     with pytest.raises(ValidationError):
         Hypergraph(("a",), ((1,),))  # index out of range
+    with pytest.raises(ValidationError):
+        Hypergraph(("a",), ((0,), (0,)))  # duplicated edge
 
 
 def test_simplicial_complex_requires_closure():

@@ -87,20 +87,32 @@ def dense(mat: SparseIntMatrix) -> list[list[int]]:
 
 
 small_entries = st.integers(min_value=-9, max_value=9)
+wide_entries = st.integers(min_value=-30, max_value=30)
 
 
 @st.composite
-def int_matrices(draw, max_dim: int = 4):
+def int_matrices(draw, max_dim: int = 4, entries=small_entries):
     m = draw(st.integers(min_value=1, max_value=max_dim))
     n = draw(st.integers(min_value=1, max_value=max_dim))
     rows = draw(
         st.lists(
-            st.lists(small_entries, min_size=n, max_size=n),
+            st.lists(entries, min_size=n, max_size=n),
             min_size=m,
             max_size=m,
         )
     )
     return SparseIntMatrix.from_rows(rows)
+
+
+@st.composite
+def sparse_int_matrices(draw, max_dim: int = 8):
+    """Up to max_dim x max_dim with about two entries per line: shapes on
+    which row moves, column moves and the divisibility repair all fire."""
+    m = draw(st.integers(min_value=1, max_value=max_dim))
+    n = draw(st.integers(min_value=1, max_value=max_dim))
+    cells = st.tuples(st.integers(0, m - 1), st.integers(0, n - 1))
+    entries = draw(st.dictionaries(cells, wide_entries, max_size=2 * max(m, n)))
+    return SparseIntMatrix(m, n, entries)
 
 
 # ----------------------------------------------------------------- basics
@@ -161,15 +173,18 @@ def test_snf_matches_minor_gcd_oracle(a):
     assert invariant_factors(a) == minor_gcd_invariants(dense(a))
 
 
-@given(int_matrices())
-def test_snf_transforms_diagonalize(a):
-    res = smith_normal_form(a)
+@given(
+    st.one_of(int_matrices(), sparse_int_matrices()),
+    st.sampled_from(["markowitz", "ordered"]),
+)
+def test_snf_transforms_diagonalize(a, pivot_order):
+    res = smith_normal_form(a, pivot_order)
     prod = res.left @ a @ res.right
     for i, j, v in prod.iter_entries():
         assert i == j and i < len(res.d) and v == res.d[i]
     assert prod.nnz == len(res.d)
-    assert abs(perm_det(dense(res.left))) == 1
-    assert abs(perm_det(dense(res.right))) == 1
+    assert abs(determinant(res.left)) == 1
+    assert abs(determinant(res.right)) == 1
     for k in range(len(res.d) - 1):
         assert res.d[k + 1] % res.d[k] == 0
     assert all(v > 0 for v in res.d)
@@ -227,7 +242,10 @@ def test_rank_equals_snf_rank(a):
     assert rank(a) == len(invariant_factors(a))
 
 
-@given(int_matrices(), st.sampled_from([2, 3, 5]))
+@given(
+    st.one_of(int_matrices(entries=wide_entries), sparse_int_matrices()),
+    st.sampled_from([2, 3, 5, 7]),
+)
 def test_rank_mod_p_counts_unit_invariant_factors(a, p):
     d = invariant_factors(a)
     assert rank_mod_p(a, p) == sum(1 for v in d if v % p)

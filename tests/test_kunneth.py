@@ -4,6 +4,7 @@ tensor complex, and the Kunneth checks."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import hyperhom.kunneth as kunneth
 from hyperhom.examples import (
     homology_demo_pair,
     projective_plane,
@@ -16,6 +17,7 @@ from hyperhom.homology import (
     INTEGERS,
     RATIONALS,
     ChainElement,
+    GradedSubmodule,
     chain_boundary,
     embedded_homology,
     inf_chain,
@@ -276,6 +278,12 @@ def test_inf_tensor_of_closed_pair_is_full_span():
     tctx = TensorContext(k, k2)
     for n in range(inf_t.top_degree + 1):
         assert inf_t.basis_rank(n) == tctx.ambient_rank(n)
+    # the tensor context names the rows and is checked like any coordinates
+    assert inf_t.coordinates == tctx
+    assert tctx.simplices_of_dim(-1) == tctx.simplices_of_dim(inf_t.top_degree + 1) == ()
+    point = associated_complex(vertex_hypergraph())
+    with pytest.raises(ValueError, match="coordinate count"):
+        GradedSubmodule(inf_t.boundaries, inf_t.bases, TensorContext(k, point))
 
 
 def test_inf_tensor_with_point_factor_mirrors_the_other_factor():
@@ -380,6 +388,13 @@ def test_restricted_chainmap_on_worked_pairs():
     assert rep2.tensor_columns_checked == 16
     assert "verified" in rep2.to_text()
     assert rep2.to_dict()["ok"] is True
+
+
+@pytest.mark.parametrize("verify", [False, True])
+def test_chainmap_check_builds_one_tensor_context(spy, verify):
+    contexts = spy(kunneth, "TensorContext")
+    restricted_chainmap_check(*tensor_membership_pair(), verify=verify)
+    assert len(contexts) == 1
 
 
 @settings(max_examples=15)
