@@ -46,7 +46,8 @@ from .kunneth import (
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One resolved invocation; every default lives here."""
+    """One resolved invocation; every default lives here, except the fuzz
+    size bounds, which :class:`FuzzConfig` fills in when left as None."""
 
     command: str
     inputs: tuple[str, ...] = ()
@@ -58,7 +59,7 @@ class RunConfig:
     out_path: str | None = None
     closure: bool = False
     count: int = 100
-    max_vertices: int = 6
+    max_vertices: int | None = None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -248,11 +249,10 @@ def cmd_ez_aw_demo(config: RunConfig) -> str:
 
 
 def cmd_fuzz(config: RunConfig) -> str:
+    # bounds left out of argv take their defaults from FuzzConfig
+    bounds = {"max_vertices": config.max_vertices, "max_dim": config.max_dim}
     fuzz_config = FuzzConfig(
-        count=config.count,
-        seed=config.seed,
-        max_vertices=config.max_vertices,
-        max_dim=3 if config.max_dim is None else config.max_dim,
+        config.count, config.seed, **{k: v for k, v in bounds.items() if v is not None}
     )
     report = run_fuzz(fuzz_config)
     rendered = (
@@ -299,7 +299,7 @@ def main(argv: list[str] | None = None) -> int:
             raise ValidationError("--count must be non-negative")
         if config.max_dim is not None and config.max_dim < 0:
             raise ValidationError("--max-dim must be non-negative")
-        if config.max_vertices < 1:
+        if config.max_vertices is not None and config.max_vertices < 1:
             raise ValidationError("--max-vertices must be at least 1")
         text = _COMMANDS[config.command](config)
         _write_output(text, config.out_path)

@@ -139,17 +139,6 @@ class ChainElement:
             acc[s] = acc.get(s, 0) + c
         return ChainElement(self.degree, {s: c for s, c in acc.items() if c})
 
-    def __neg__(self) -> "ChainElement":
-        return ChainElement(self.degree, {s: -c for s, c in self.coeffs.items()})
-
-    def __sub__(self, other: "ChainElement") -> "ChainElement":
-        return self + (-other)
-
-    def scaled(self, a: int) -> "ChainElement":
-        if a == 0:
-            return ChainElement(self.degree, {})
-        return ChainElement(self.degree, {s: a * c for s, c in self.coeffs.items()})
-
 
 def chain_boundary(c: ChainElement) -> ChainElement:
     """Simplicial boundary, purely combinatorial: drop vertex j with
@@ -238,13 +227,17 @@ class SimplexCoordinates:
     """Named coordinates for chains: ``simplices[n]`` lists the degree-n
     coordinate simplices in canonical order.
 
-    Reads like a :class:`SimplicialComplex` (``simplices_of_dim``,
-    ``simplex_positions``, ``boundaries``), but need not be closed under
-    faces: a boundary face outside the coordinates gets an overflow row
-    past the coordinate rows, so it is never dropped.
+    Need not be closed under faces: a boundary face outside the
+    coordinates gets an overflow row past the coordinate rows, so it is
+    never dropped. A :class:`SimplicialComplex` is closed, and its
+    ``coordinates`` are its simplices.
     """
 
     simplices: tuple[tuple[tuple[int, ...], ...], ...]
+
+    @property
+    def top_degree(self) -> int:
+        return len(self.simplices) - 1
 
     def simplices_of_dim(self, n: int) -> tuple[tuple[int, ...], ...]:
         return self.simplices[n] if 0 <= n < len(self.simplices) else ()
@@ -282,39 +275,39 @@ def facet_coordinates(h: Hypergraph) -> SimplexCoordinates:
 
 @dataclass(frozen=True)
 class GradedSubmodule:
-    """A graded submodule of a chain complex, one basis per degree.
+    """A graded submodule of a chain complex: the complex's coordinates
+    and one basis per degree.
 
-    ``bases[n]`` holds basis columns in ambient degree-n coordinates;
-    ``coordinates``, when given, names those coordinates (simplex, or
-    simplex pair for a tensor context,
-    ``coordinates.simplices_of_dim(n)[i]`` is row i of ``bases[n]``).
-    ``boundaries[n]`` is the ambient boundary matrix out of degree n: its
-    first rows are the degree n-1 coordinates, and any rows past them are
-    overflow rows for faces outside those coordinates. The submodule is
-    expected to be boundary-stable (checked when homology is computed).
-    Bases need not be saturated.
+    ``coordinates`` names the ambient complex, simplices or simplex pairs
+    (:class:`SimplexCoordinates` or a tensor context), one degree per
+    basis. ``bases[n]`` holds basis columns in the degree-n coordinates:
+    ``coordinates.simplices_of_dim(n)[i]`` is row i. The ambient
+    boundaries are ``coordinates.boundaries``, built only when a route
+    reads them; the first rows of ``boundaries[n]`` are the degree n-1
+    coordinates, and any rows past them are overflow rows for faces
+    outside those coordinates. The submodule is expected to be
+    boundary-stable (checked when homology is computed). Bases need not
+    be saturated.
     """
 
-    boundaries: tuple[SparseIntMatrix, ...]
+    coordinates: SimplexCoordinates | TensorContext
     bases: tuple[SparseIntMatrix, ...]
-    coordinates: SimplexCoordinates | SimplicialComplex | TensorContext | None = None
 
     def __post_init__(self) -> None:
-        if len(self.boundaries) != len(self.bases):
-            raise ValueError("one boundary matrix per graded piece required")
-        for n, (d, b) in enumerate(zip(self.boundaries, self.bases)):
-            if d.ncols != b.nrows:
-                raise ValueError(f"degree {n}: boundary domain != ambient rank")
-            if n > 0 and d.nrows < self.bases[n - 1].nrows:
-                raise ValueError(f"degree {n}: boundary range < ambient rank below")
-            if self.coordinates is not None and b.nrows != len(
-                self.coordinates.simplices_of_dim(n)
-            ):
+        for n, b in enumerate(self.bases):
+            if b.nrows != len(self.coordinates.simplices_of_dim(n)):
                 raise ValueError(f"degree {n}: ambient rank != coordinate count")
+        if self.coordinates.top_degree != self.top_degree:
+            raise ValueError("one basis per degree of the coordinates required")
 
     @property
     def top_degree(self) -> int:
         return len(self.bases) - 1
+
+    @property
+    def boundaries(self) -> tuple[SparseIntMatrix, ...]:
+        """The ambient boundary matrices, one per degree."""
+        return self.coordinates.boundaries
 
     def basis_rank(self, n: int) -> int:
         return self.bases[n].ncols if 0 <= n <= self.top_degree else 0
@@ -483,14 +476,10 @@ def inf_chain(h: Hypergraph) -> GradedSubmodule:
     afresh on every call; ``h.inf`` keeps one.
     """
     c = h.coordinates
-    if h.is_closed():
-        bases = tuple(SparseIntMatrix.identity(len(s)) for s in c.simplices)
-    else:
-        generators = tuple(
-            tuple(_hyperedge_positions(h, n)) for n in range(len(c.simplices))
-        )
-        bases = inf_bases_of_span(c.boundaries, generators)
-    return GradedSubmodule(c.boundaries, bases, c)
+    generators = tuple(
+        tuple(_hyperedge_positions(h, n)) for n in range(len(c.simplices))
+    )
+    return GradedSubmodule(c, inf_bases_of_span(c.boundaries, generators))
 
 
 def sup_chain(h: Hypergraph) -> GradedSubmodule:
@@ -514,7 +503,7 @@ def sup_chain(h: Hypergraph) -> GradedSubmodule:
         else:
             image = SparseIntMatrix(ambient, 0)
         bases.append(lattice_sum_basis(span, image))
-    return GradedSubmodule(c.boundaries, tuple(bases), c)
+    return GradedSubmodule(c, tuple(bases))
 
 
 def embedded_homology(
@@ -549,7 +538,7 @@ def classical_homology(
     no submodule machinery. Used to cross-check the embedded pipeline
     on closed inputs.
     """
-    return _chain_homology(k.boundaries, coeff)
+    return _chain_homology(k.coordinates.boundaries, coeff)
 
 
 # ---------------------------------------------------------------- rendering

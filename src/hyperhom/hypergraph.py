@@ -28,7 +28,6 @@ from .errors import FormatError, ValidationError
 
 if TYPE_CHECKING:
     from .homology import GradedSubmodule, SimplexCoordinates
-    from .intlinalg import SparseIntMatrix
 
 
 def _canonical_edges(edges: Iterable[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
@@ -61,10 +60,10 @@ class Hypergraph:
         for e in self.edges:
             if not e:
                 raise ValidationError("empty hyperedge")
-            if any(v < 0 or v >= n for v in e):
-                raise ValidationError(f"vertex index out of range in {e}")
             if any(a >= b for a, b in zip(e, e[1:])):
                 raise ValidationError(f"hyperedge not strictly increasing: {e}")
+            if e[0] < 0 or e[-1] >= n:
+                raise ValidationError(f"vertex index out of range in {e}")
             covered.update(e)
             key = (len(e), e)
             if key <= last:
@@ -166,25 +165,19 @@ class SimplicialComplex(Hypergraph):
         return self.edges_of_dim(n)
 
     @cached_property
-    def _positions(self) -> tuple[dict[tuple[int, ...], int], ...]:
-        return tuple({s: k for k, s in enumerate(b)} for b in self._by_dim)
+    def coordinates(self) -> SimplexCoordinates:
+        """A complex is its own facet coordinates: its simplices in
+        degrees 0 through dim, and an empty degree dim+1."""
+        from .homology import SimplexCoordinates
+
+        return SimplexCoordinates(self._by_dim + ((),))
 
     def simplex_positions(self, n: int) -> dict[tuple[int, ...], int]:
         """Map each n-simplex to its position in the canonical order.
 
         The map is shared by every caller: treat it as read-only.
         """
-        if n < 0 or n > self.dim:
-            return {}
-        return self._positions[n]
-
-    @cached_property
-    def boundaries(self) -> tuple[SparseIntMatrix, ...]:
-        """Boundary matrices of degrees 0 through dim+1, see
-        :func:`hyperhom.homology.boundary_matrix`."""
-        from .homology import boundary_matrix
-
-        return tuple(boundary_matrix(self, n) for n in range(self.dim + 2))
+        return self.coordinates.simplex_positions(n)
 
 
 # -------------------------------------------------------------- building

@@ -72,25 +72,10 @@ class TensorChain:
             acc[k] = acc.get(k, 0) + c
         return TensorChain(self.degree, {k: c for k, c in acc.items() if c})
 
-    def __neg__(self) -> "TensorChain":
-        return TensorChain(self.degree, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other: "TensorChain") -> "TensorChain":
-        return self + (-other)
-
     def scaled(self, a: int) -> "TensorChain":
         if a == 0:
             return TensorChain(self.degree, {})
         return TensorChain(self.degree, {k: a * c for k, c in self.terms.items()})
-
-
-def tensor_of_chains(x: ChainElement, y: ChainElement) -> TensorChain:
-    """The pure tensor of two chains, expanded term by term."""
-    terms = {}
-    for s, a in x.coeffs.items():
-        for u, b in y.coeffs.items():
-            terms[(s, u)] = a * b
-    return TensorChain(x.degree + y.degree, terms)
 
 
 def tensor_boundary(t: TensorChain) -> TensorChain:
@@ -289,7 +274,7 @@ def inf_tensor_basis(
                         }
                     )
         bases.append(column_hnf(SparseIntMatrix.from_columns(ambient, cols)))
-    result = GradedSubmodule(ctx.boundaries, tuple(bases), ctx)
+    result = GradedSubmodule(ctx, tuple(bases))
     if verify:
         generators = tuple(
             tuple(

@@ -84,12 +84,12 @@ def oracle_inf_chain(h: Hypergraph) -> GradedSubmodule:
             SparseIntMatrix.identity(len(k.simplices_of_dim(n)))
             for n in range(top + 1)
         )
-        return GradedSubmodule(k.boundaries, bases, k)
+        return GradedSubmodule(k.coordinates, bases)
     generators = tuple(
         tuple(_closure_positions(h, k, n)) for n in range(top + 1)
     )
     return GradedSubmodule(
-        k.boundaries, inf_bases_of_span(k.boundaries, generators), k
+        k.coordinates, inf_bases_of_span(k.coordinates.boundaries, generators)
     )
 
 
@@ -104,7 +104,7 @@ def oracle_sup_chain(h: Hypergraph) -> GradedSubmodule:
             ambient, [{p: 1} for p in _closure_positions(h, k, n)]
         )
         if n + 1 <= top:
-            d_above = k.boundaries[n + 1]
+            d_above = k.coordinates.boundaries[n + 1]
             image = SparseIntMatrix.from_columns(
                 ambient,
                 [dict(d_above.column(p)) for p in _closure_positions(h, k, n + 1)],
@@ -112,4 +112,4 @@ def oracle_sup_chain(h: Hypergraph) -> GradedSubmodule:
         else:
             image = SparseIntMatrix(ambient, 0)
         bases.append(lattice_sum_basis(span, image))
-    return GradedSubmodule(k.boundaries, tuple(bases), k)
+    return GradedSubmodule(k.coordinates, tuple(bases))

@@ -14,7 +14,7 @@ import hyperhom.kunneth as kunneth
 from hyperhom.cli import main
 from hyperhom.errors import IntegrityError
 from hyperhom.examples import projective_plane, triangle_boundary
-from hyperhom.fuzz import FuzzConfig, FuzzFailure, FuzzReport
+from hyperhom.fuzz import FuzzConfig, FuzzFailure, FuzzReport, check_pair
 from hyperhom.homology import embedded_homology, parse_coefficient
 from hyperhom.hypergraph import (
     associated_complex,
@@ -295,6 +295,39 @@ def test_kunneth_verify_builds_the_tensor_infimum_once(tmp_path, capsys, spy) ->
     assert [kwargs for _, kwargs in tensor_calls] == [{"verify": True}]
     # the direct recomputation of the tensor infimum still runs
     assert len(direct_calls) == 1
+
+
+def test_only_the_direct_tensor_infimum_builds_tensor_boundaries(
+    tmp_path, capsys, monkeypatch
+) -> None:
+    built = []
+    real = kunneth.inf_tensor_basis
+
+    def recorded(*args, **kwargs):
+        built.append(real(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(kunneth, "inf_tensor_basis", recorded)
+    right_text = "w1\nw0 w1\n"
+    h, h2 = parse_hypergraph(SEGMENT_WITH_POINT), parse_hypergraph(right_text)
+    assert check_pair(h, h2) is None
+    # the chain-map check reads the tensor bases, never the boundaries
+    assert len(built) == 1 and "boundaries" not in built[0].coordinates.__dict__
+    left = write(tmp_path, "l.txt", SEGMENT_WITH_POINT)
+    right = write(tmp_path, "r.txt", right_text)
+    assert run(capsys, "kunneth", left, right, "--verify")[0] == 0
+    assert len(built) == 2 and "boundaries" in built[1].coordinates.__dict__
+
+
+def test_fuzz_bounds_default_to_the_fuzz_config(capsys, monkeypatch) -> None:
+    seen = []
+    monkeypatch.setattr(cli, "run_fuzz", lambda cfg: seen.append(cfg) or FuzzReport(cfg, 0, ()))
+    assert run(capsys, "fuzz", "--count", "0")[0] == 0
+    assert run(capsys, "fuzz", "--count", "0", "--max-dim", "1", "--max-vertices", "2")[0] == 0
+    assert seen == [
+        FuzzConfig(count=0, seed=0),
+        FuzzConfig(count=0, seed=0, max_vertices=2, max_dim=1),
+    ]
 
 
 def test_kunneth_mismatch_exits_3_and_still_prints_report(

@@ -28,6 +28,7 @@ from hyperhom.homology import (
     chain_from_vector,
     classical_homology,
     embedded_homology,
+    facet_coordinates,
     inf_chain,
     mod_p,
     parse_coefficient,
@@ -183,6 +184,16 @@ def test_coordinates_are_hyperedges_and_their_facets():
     assert [d1.column(j) for j in range(3)] == [{0: -1, 1: 1}, {0: -1, 2: 1}, {1: -1, 2: 1}]
 
 
+@settings(max_examples=40)
+@given(small_hypergraphs())
+def test_a_complex_is_its_own_facet_coordinates(h):
+    # the general facet route is the reference for the complex's override
+    k = associated_complex(h)
+    want = facet_coordinates(k)
+    assert k.coordinates == want
+    assert k.coordinates.boundaries == want.boundaries
+
+
 def test_face_outside_the_coordinates_is_refused():
     h = parse_hypergraph("v0\nv0 v1 v2\n")
     c = h.coordinates
@@ -195,7 +206,7 @@ def test_face_outside_the_coordinates_is_refused():
         SparseIntMatrix(1, 0),
         SparseIntMatrix(0, 0),
     )
-    m = GradedSubmodule(c.boundaries, bases, c)
+    m = GradedSubmodule(c, bases)
     with pytest.raises(IntegrityError, match="outside the degree-0 coordinates"):
         restricted_boundaries(m)
 
@@ -241,13 +252,19 @@ def test_boundaries_that_do_not_compose_to_zero_are_refused():
     # C_0 = Z, C_1 = Z^2, C_2 = Z with d_1 = [1 0] and d_2 = e_1, so
     # d_1 @ d_2 = 1 although d_1 has the nonzero cycle e_2. Full bases are
     # boundary-stable, so restricted_boundaries accepts the module.
-    boundaries = (
-        SparseIntMatrix(0, 1),
-        SparseIntMatrix.from_rows([[1, 0]]),
-        SparseIntMatrix.from_rows([[1], [0]]),
-    )
-    bases = tuple(SparseIntMatrix.identity(d.ncols) for d in boundaries)
-    m = GradedSubmodule(boundaries, bases)
+    class Coordinates:
+        boundaries = (
+            SparseIntMatrix(0, 1),
+            SparseIntMatrix.from_rows([[1, 0]]),
+            SparseIntMatrix.from_rows([[1], [0]]),
+        )
+        top_degree = 2
+
+        def simplices_of_dim(self, n):
+            return ("cell",) * self.boundaries[n].ncols
+
+    bases = tuple(SparseIntMatrix.identity(d.ncols) for d in Coordinates.boundaries)
+    m = GradedSubmodule(Coordinates(), bases)
     restricted_boundaries(m)
     with pytest.raises(IntegrityError):
         submodule_homology(m, INTEGERS)

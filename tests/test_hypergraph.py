@@ -126,6 +126,8 @@ def test_post_init_rejects_malformed():
     with pytest.raises(ValidationError):
         Hypergraph(("a",), ((1,),))  # index out of range
     with pytest.raises(ValidationError):
+        Hypergraph(("a", "b"), ((2, -1),))  # unsorted and out of range
+    with pytest.raises(ValidationError):
         Hypergraph(("a",), ((0,), (0,)))  # duplicated edge
 
 

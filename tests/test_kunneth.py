@@ -41,7 +41,6 @@ from hyperhom.kunneth import (
     kunneth_check,
     restricted_chainmap_check,
     tensor_boundary,
-    tensor_of_chains,
 )
 
 
@@ -167,15 +166,6 @@ def test_tensor_boundary_squares_to_zero(p, q, a, b):
     assert tensor_boundary(tensor_boundary(t)).is_zero()
 
 
-def test_tensor_of_chains_expands_products():
-    x = ChainElement(1, {(0, 1): 1, (1, 2): 1})
-    y = ChainElement(1, {(1, 2): 2})
-    assert tensor_of_chains(x, y).terms == {
-        ((0, 1), (1, 2)): 2,
-        ((1, 2), (1, 2)): 2,
-    }
-
-
 # --------------------------------------------- chain maps on full complexes
 
 
@@ -283,7 +273,9 @@ def test_inf_tensor_of_closed_pair_is_full_span():
     assert tctx.simplices_of_dim(-1) == tctx.simplices_of_dim(inf_t.top_degree + 1) == ()
     point = associated_complex(vertex_hypergraph())
     with pytest.raises(ValueError, match="coordinate count"):
-        GradedSubmodule(inf_t.boundaries, inf_t.bases, TensorContext(k, point))
+        GradedSubmodule(TensorContext(k, point), inf_t.bases)
+    with pytest.raises(ValueError, match="one basis per degree"):
+        GradedSubmodule(tctx, inf_t.bases[:-1])
 
 
 def test_inf_tensor_with_point_factor_mirrors_the_other_factor():
