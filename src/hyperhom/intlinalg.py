@@ -341,11 +341,10 @@ class LatticeSolver:
     without re-echelonizing per query.
     """
 
-    __slots__ = ("nrows", "ncols", "_ech")
+    __slots__ = ("nrows", "_ech")
 
     def __init__(self, basis: SparseIntMatrix) -> None:
         self.nrows = basis.nrows
-        self.ncols = basis.ncols
         self._ech = _Echelon()
         for j in range(basis.ncols):
             vec = dict(basis._cols[j])
@@ -355,18 +354,9 @@ class LatticeSolver:
         if mains != basis.ncols:
             raise ValueError("basis columns are linearly dependent")
 
-    def solve(self, v: Mapping[int, int] | Sequence[int]) -> list[int] | None:
-        """Coefficients c with basis @ c = v, or None if v is outside the lattice."""
-        sparse = self.solve_sparse(v)
-        if sparse is None:
-            return None
-        coeffs = [0] * self.ncols
-        for j, val in sparse.items():
-            coeffs[j] = val
-        return coeffs
-
-    def solve_sparse(self, v: Mapping[int, int] | Sequence[int]) -> dict[int, int] | None:
-        """Like :meth:`solve`, with only the nonzero coefficients, as a dict."""
+    def solve(self, v: Mapping[int, int] | Sequence[int]) -> dict[int, int] | None:
+        """The nonzero coefficients c_j with basis @ c = v, as a dict, or
+        None if v is outside the lattice."""
         residue = self._ech.reduce(self._to_dict(v))
         if any(j < self.nrows for j in residue):
             return None

@@ -54,7 +54,7 @@ def oracle_chain_homology(d: list[SparseIntMatrix]) -> list[FGAbelianGroup]:
                 raise IntegrityError(
                     f"degree-{n + 1} boundary image is not a degree-{n} cycle"
                 )
-            rel_cols.append({i: v for i, v in enumerate(coeffs) if v})
+            rel_cols.append(coeffs)
         relations = SparseIntMatrix.from_columns(cycles.ncols, rel_cols)
         groups.append(from_presentation(relations, ambient_rank=cycles.ncols))
     return groups

@@ -12,7 +12,6 @@ from hyperhom.fuzz import FuzzConfig, check_pair, instance_pair, run_fuzz
 from hyperhom.hypergraph import (
     Hypergraph,
     hypergraph_from_edges,
-    product_boxtimes,
     random_hypergraph,
 )
 from hyperhom.intlinalg import rank
@@ -52,7 +51,6 @@ def test_check_pair_passes_on_known_good_instances() -> None:
 def test_check_pair_computes_each_derived_value_once(spy) -> None:
     h = random_hypergraph(5, 2, 0.5, seed=48611)
     h2 = random_hypergraph(4, 2, 0.6, seed=48612)
-    product_boxtimes.cache_clear()
     calls = {
         name: spy(homology, name)
         for name in ("inf_chain", "sup_chain", "restricted_boundaries")
@@ -86,12 +84,8 @@ def test_shuffle_image_outside_the_product_coordinates_is_a_chain_map_failure(
 def test_universal_coefficient_check_catches_a_wrong_field_rank(monkeypatch) -> None:
     # Z/2 ranks taken over Q: RP2 then loses its Z/2 classes consistently in
     # factor and product, so the Z/2 Kunneth ledger still closes.
-    product_boxtimes.cache_clear()
     monkeypatch.setattr(homology, "rank_mod_p", lambda d, p: rank(d))
-    try:
-        outcome = check_pair(projective_plane(), vertex_hypergraph())
-    finally:
-        product_boxtimes.cache_clear()  # drop the product holding wrong answers
+    outcome = check_pair(projective_plane(), vertex_hypergraph())
     assert outcome is not None and outcome[0] == "universal-coefficients"
 
 

@@ -253,6 +253,16 @@ def test_product_closure_adds_diagonal_only():
     assert frozenset({"v0|w1", "v1|w0"}) not in k.edge_token_sets
 
 
+def test_a_product_lives_on_its_factor():
+    h, h2 = seg_and_interval()
+    box = product_boxtimes(h, h2)
+    assert product_boxtimes(h, h2) is box
+    # equal but distinct factors build their own, equal product
+    g, g2 = Hypergraph(h.vertices, h.edges), Hypergraph(h2.vertices, h2.edges)
+    other = product_boxtimes(g, g2)
+    assert other == box and other is not box
+
+
 def test_product_vertex_order_is_index_pairs():
     h = parse_hypergraph("a ab\n")
     h2 = parse_hypergraph("x y\n")

@@ -316,10 +316,10 @@ def test_kernel_of_zero_rows():
 
 def test_express_in_basis_examples():
     solve = LatticeSolver(SparseIntMatrix.from_rows([[2, 0], [0, 1]])).solve
-    assert solve([2, 3]) == [1, 3]
+    assert solve([2, 3]) == {0: 1, 1: 3}
     assert solve([1, 0]) is None
-    assert solve([0, 0]) == [0, 0]
-    assert solve({1: 5}) == [0, 5]
+    assert solve([0, 0]) == {}
+    assert solve({1: 5}) == {1: 5}
     with pytest.raises(ValueError):
         solve([1, 2, 3])
     dependent = SparseIntMatrix.from_rows([[1, 2], [1, 2]])
@@ -337,17 +337,17 @@ def test_express_round_trip(a, coeffs):
     for j, c in enumerate(cs):
         for i in range(basis.nrows):
             vec[i] += c * basis.entry(i, j)
-    assert LatticeSolver(basis).solve(vec) == cs
+    assert LatticeSolver(basis).solve(vec) == {j: c for j, c in enumerate(cs) if c}
 
 
 def test_lattice_solver_reuse():
     basis = SparseIntMatrix.from_rows([[3, 0], [0, 2]])
     solver = LatticeSolver(basis)
-    assert solver.solve([3, 2]) == [1, 1]
+    assert solver.solve([3, 2]) == {0: 1, 1: 1}
     assert solver.solve([1, 1]) is None
-    assert solver.solve_sparse({0: 3}) == {0: 1}
-    assert solver.solve_sparse({1: 1}) is None
-    assert solver.solve([0, 0]) == [0, 0] and solver.solve_sparse({}) == {}
+    assert solver.solve({0: 3}) == {0: 1}
+    assert solver.solve({1: 1}) is None
+    assert solver.solve([0, 0]) == {} and solver.solve({}) == {}
     assert solver.contains([6, -4])
     assert not solver.contains([2, 2])
 
