@@ -54,6 +54,11 @@ if TYPE_CHECKING:
 
 # ------------------------------------------------------------ coefficients
 
+# Every zp modulus lies below this: is_prime tries odd divisors up to the
+# square root, about 23 000 of them here, so a larger modulus is refused
+# before the test starts.
+MAX_MODULUS = 1 << 31
+
 
 @dataclass(frozen=True)
 class Coefficient:
@@ -67,6 +72,10 @@ class Coefficient:
         if self.kind not in ("z", "q", "zp"):
             raise ValidationError(f"unknown coefficient kind: {self.kind!r}")
         if self.kind == "zp":
+            if self.p is not None and self.p >= MAX_MODULUS:
+                raise ValidationError(
+                    f"zp modulus must be below {MAX_MODULUS}, got {self.p}"
+                )
             if self.p is None or not is_prime(self.p):
                 raise ValidationError(f"zp modulus must be prime, got {self.p!r}")
         elif self.p is not None:

@@ -164,14 +164,6 @@ class SparseIntMatrix:
                 rows[i][j] = v
         return rows
 
-    def scaled(self, f: int) -> "SparseIntMatrix":
-        m = SparseIntMatrix(self.nrows, self.ncols)
-        if f:
-            for j, col in enumerate(self._cols):
-                for i, v in col.items():
-                    m._cols[j][i] = f * v
-        return m
-
     def apply_to_column(self, col: Mapping[int, int]) -> dict[int, int]:
         """Matrix times a sparse column vector (dict of coordinate -> value)."""
         out: dict[int, int] = {}
@@ -400,9 +392,14 @@ class SNFResult:
 def smith_normal_form(a: SparseIntMatrix, pivot_order: str = "markowitz") -> SNFResult:
     """Smith normal form with unimodular transforms.
 
-    pivot_order selects the elimination order ("markowitz" picks sparse
-    pivots, "ordered" scans rows first); the resulting d must not depend
-    on it, which the test suite exercises.
+    Elimination is one pass over the rows in an order fixed before it
+    starts; each row still nonempty on its turn gives one pivot.
+    pivot_order picks that order: "ordered" visits the rows top down and
+    pivots on the leftmost entry; "markowitz" visits them by their
+    starting length (a stable sort) and pivots on the row's entry in the
+    sparsest column, ties broken by least magnitude, then by column
+    index. The resulting d must not depend on it, which the test suite
+    exercises.
     """
     d, left, right = _smith(a, want_transforms=True, pivot_order=pivot_order)
     assert left is not None and right is not None
@@ -465,34 +462,25 @@ def _smith(
         if t is not None:
             t[k1], t[k2] = _combine(t[k1], t[k2], x, y, z, w)
 
-    def choose_pivot() -> tuple[int, int] | None:
-        if pivot_order == "ordered":
-            for i in range(m):
-                if rows[i]:
-                    return i, min(rows[i])
-            return None
-        best_j = -1
-        best_len = None
-        for j in range(n):
-            c = cols[j]
-            if c and (best_len is None or len(c) < best_len):
-                best_len = len(c)
-                best_j = j
-                if best_len == 1:
-                    break
-        if best_j < 0:
-            return None
-        best = min(cols[best_j].items(), key=lambda kv: (abs(kv[1]), len(rows[kv[0]]), kv[0]))
-        return best[0], best_j
-
+    # Every move combines nonempty lines, so an empty row stays empty, and
+    # a pivot's row is empty once the pivot is taken: one pass finds them all.
+    order = range(m)
+    if pivot_order == "markowitz":
+        order = sorted(order, key=lambda i: len(rows[i]))
     pivots: list[tuple[int, int, int]] = []
-    while True:
-        pv = choose_pivot()
-        if pv is None:
-            break
-        i, j = pv
+    for i in order:
+        row = rows[i]
+        if not row:
+            continue
+        if pivot_order == "ordered":
+            j = min(row)
+        else:
+            j = min(row, key=lambda l: (len(cols[l]), abs(row[l]), l))
         # clear the pivot's column with row moves, then its row with column
-        # moves; a non-divisible entry takes a gcd pair move and restarts
+        # moves; a non-divisible entry takes a gcd pair move and restarts.
+        # Then a pivot other than +-1 that fails to divide a remaining entry
+        # takes in that entry's row, so the next pass shrinks it: each pivot
+        # divides all later ones.
         passes = ((rows, cols, lt, i, j), (cols, rows, rt, j, i))
         while True:
             p = rows[i][j]
@@ -507,30 +495,19 @@ def _smith(
                 for k, v in [(k, v) for k, v in cross.items() if k != k0]:
                     addmul(lines, mirror, t, k, k0, -(v // p))
             else:
-                break
+                if p in (1, -1):
+                    break
+                bad = next((k for k, r in enumerate(rows) if any(v % p for v in r.values())), None)
+                if bad is None:
+                    break
+                addmul(rows, cols, lt, i, bad, 1)
         v = rows[i].pop(j)
         cols[j].pop(i)
-        pivots.append((i, j, v))
-
-    # normalize signs, then repair the divisibility chain with 2x2 moves
-    for idx, (i, j, v) in enumerate(pivots):
         if v < 0:
-            pivots[idx] = (i, j, -v)
+            v = -v
             if lt is not None:
                 _dict_scale(lt[i], -1)
-    r = len(pivots)
-    for ia in range(r):
-        for ib in range(ia + 1, r):
-            i1, j1, da = pivots[ia]
-            i2, j2, db = pivots[ib]
-            if db % da == 0:
-                continue
-            g, x, y = xgcd(da, db)
-            if lt is not None and rt is not None:
-                lt[i1], lt[i2] = _combine(lt[i1], lt[i2], x, y, -(db // g), da // g)
-                rt[j1], rt[j2] = _combine(rt[j1], rt[j2], 1, 1, -(y * db // g), x * da // g)
-            pivots[ia] = (i1, j1, g)
-            pivots[ib] = (i2, j2, da // g * db)
+        pivots.append((i, j, v))
 
     d = tuple(v for _, _, v in pivots)
     if not want_transforms:

@@ -72,11 +72,6 @@ class TensorChain:
             acc[k] = acc.get(k, 0) + c
         return TensorChain(self.degree, {k: c for k, c in acc.items() if c})
 
-    def scaled(self, a: int) -> "TensorChain":
-        if a == 0:
-            return TensorChain(self.degree, {})
-        return TensorChain(self.degree, {k: a * c for k, c in self.terms.items()})
-
 
 def tensor_boundary(t: TensorChain) -> TensorChain:
     """Boundary of a tensor chain: differentiate the left factor, then

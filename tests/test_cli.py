@@ -219,6 +219,7 @@ def test_validation_failures_exit_2(tmp_path, capsys) -> None:
         ("homology", ok, "--max-dim", "-2"),
         ("fuzz", "--max-dim", "-1"),
         ("fuzz", "--max-vertices", "0"),
+        ("homology", ok, "--coeff", "zp:2305843009213693951"),
     ):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "") and "error:" in err

@@ -84,7 +84,8 @@ def test_parse_coefficient():
     assert parse_coefficient("q") == RATIONALS
     assert parse_coefficient("zp:7") == Coefficient("zp", 7)
     assert str(parse_coefficient("zp:13")) == "zp:13"
-    for bad in ("zp:4", "zp:1", "zp:x", "gf2", "Z", ""):
+    assert parse_coefficient("zp:2147483647").p == 2**31 - 1
+    for bad in ("zp:4", "zp:1", "zp:2147483659", "zp:x", "gf2", "Z", ""):
         with pytest.raises(ValidationError):
             parse_coefficient(bad)
     with pytest.raises(ValidationError):

@@ -13,8 +13,10 @@ from math import gcd
 from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+from hyperhom.examples import projective_plane
+from hyperhom.hypergraph import product_boxtimes
 from hyperhom.intlinalg import (
     LatticeSolver,
     SparseIntMatrix,
@@ -107,7 +109,7 @@ def int_matrices(draw, max_dim: int = 4, entries=small_entries):
 @st.composite
 def sparse_int_matrices(draw, max_dim: int = 8):
     """Up to max_dim x max_dim with about two entries per line: shapes on
-    which row moves, column moves and the divisibility repair all fire."""
+    which row moves, column moves and the divisibility step all fire."""
     m = draw(st.integers(min_value=1, max_value=max_dim))
     n = draw(st.integers(min_value=1, max_value=max_dim))
     cells = st.tuples(st.integers(0, m - 1), st.integers(0, n - 1))
@@ -173,10 +175,21 @@ def test_snf_matches_minor_gcd_oracle(a):
     assert invariant_factors(a) == minor_gcd_invariants(dense(a))
 
 
+# a pivot other than +-1 that does not divide the rest: (1, 6) and (2, 2, 60)
+NON_DIVIDING = [
+    SparseIntMatrix.from_rows([[2, 0], [0, 3]]),
+    SparseIntMatrix.from_rows([[4, 0, 0], [0, 6, 0], [0, 0, 10]]),
+]
+
+
 @given(
     st.one_of(int_matrices(), sparse_int_matrices()),
     st.sampled_from(["markowitz", "ordered"]),
 )
+@example(NON_DIVIDING[0], "markowitz")
+@example(NON_DIVIDING[0], "ordered")
+@example(NON_DIVIDING[1], "markowitz")
+@example(NON_DIVIDING[1], "ordered")
 def test_snf_transforms_diagonalize(a, pivot_order):
     res = smith_normal_form(a, pivot_order)
     prod = res.left @ a @ res.right
@@ -251,6 +264,18 @@ def test_rank_mod_p_counts_unit_invariant_factors(a, p):
     assert rank_mod_p(a, p) == sum(1 for v in d if v % p)
 
 
+def test_rank_mod_p_counts_unit_invariant_factors_on_rp2_squared():
+    # the restricted boundaries of both complexes: up to 1400 rows, with
+    # invariant factors 2 among the units. Elimination mod p shares no
+    # code with the Smith form.
+    rp2 = projective_plane()
+    box = product_boxtimes(rp2, rp2)
+    for a in box.inf.restricted + box.sup.restricted:
+        d = invariant_factors(a)
+        for p in (2, 3):
+            assert rank_mod_p(a, p) == sum(1 for v in d if v % p)
+
+
 def test_rank_mod_p_requires_prime():
     with pytest.raises(ValueError):
         rank_mod_p(SparseIntMatrix.identity(2), 6)
@@ -303,7 +328,8 @@ def test_kernel_is_complete_and_annihilates(a):
     prod = a @ k
     assert prod.is_zero()
     # doubling the matrix must not change its kernel (saturation)
-    assert kernel_basis(a.scaled(2)) == k
+    doubled = [{i: 2 * v for i, v in a.column(j).items()} for j in range(a.ncols)]
+    assert kernel_basis(SparseIntMatrix.from_columns(a.nrows, doubled)) == k
 
 
 def test_kernel_of_zero_rows():

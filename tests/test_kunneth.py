@@ -2,6 +2,9 @@
 tensor complex, and the Kunneth checks."""
 
 import itertools
+import json
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,7 +34,9 @@ from hyperhom.hypergraph import (
     hypergraph_from_edges,
     product_boxtimes,
     random_hypergraph,
+    to_text,
 )
+from hyperhom.cli import main
 from hyperhom.kunneth import (
     ChainMapReport,
     TensorChain,
@@ -186,7 +191,7 @@ def test_tensor_boundary_squares_to_zero(p, q, a, b):
     s = tuple(range(p + 1))
     u = tuple(range(q + 1))
     shifted = tuple(i + 1 for i in u)
-    t = TensorChain.of_pair(s, u).scaled(a) + TensorChain.of_pair(s, shifted).scaled(b)
+    t = TensorChain(p + q, {(s, u): a, (s, shifted): b})
     assert tensor_boundary(tensor_boundary(t)).is_zero()
 
 
@@ -419,3 +424,23 @@ def test_chainmap_check_builds_only_the_factor_closures(spy):
 @given(small_pairs(max_vertices=4, max_dim=2))
 def test_restricted_chainmap_property(pair):
     restricted_chainmap_check(*pair)  # raises IntegrityError on any failure
+
+
+@settings(max_examples=25)
+@given(small_pairs(), st.sampled_from(["z", "zp:2"]))
+def test_verify_passes_on_generated_pairs(pair, coeff):
+    # --verify runs the redundant routes: infimum vs supremum on each
+    # factor and the product, tensored vs direct infimum, the chain maps
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for name, h in zip("ab", pair):
+            path = Path(tmp) / f"{name}.txt"
+            path.write_text(to_text(h))
+            paths.append(str(path))
+        out = Path(tmp) / "out"
+        for path in paths:
+            argv = ["homology", path, "--coeff", coeff, "--verify", "--out", str(out)]
+            assert main(argv) == 0
+        argv = ["kunneth", *paths, "--coeff", coeff, "--verify", "--format", "structured"]
+        assert main(argv + ["--out", str(out)]) == 0
+        assert json.loads(out.read_text())["ok"]
