@@ -18,7 +18,6 @@ from hyperhom import (
     RATIONALS,
     classical_homology,
     embedded_homology,
-    field_kunneth_check,
     kunneth_check,
     mod_p,
     product_boxtimes,
@@ -51,7 +50,7 @@ def main() -> int:
     print(kunneth_check(rp2, rp2, INTEGERS).to_text(), end="")
 
     for coeff in (RATIONALS, mod_p(2)):
-        report = field_kunneth_check(rp2, rp2, coeff)
+        report = kunneth_check(rp2, rp2, coeff)
         verdict = "ok" if report.ok else "MISMATCH"
         betti = [r.product_value for r in report.rows]
         print(f"\nBetti numbers over {coeff}: {betti} [{verdict}]")

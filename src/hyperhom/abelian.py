@@ -88,19 +88,11 @@ class FGAbelianGroup:
         return cls(0, ())
 
     @classmethod
-    def free(cls, rank: int) -> "FGAbelianGroup":
-        return cls(rank, ())
-
-    @classmethod
     def cyclic(cls, order: int) -> "FGAbelianGroup":
         """Z/order for order >= 2; order 1 gives the trivial group."""
         if order == 1:
             return cls.trivial()
         return cls.from_parts(0, [order])
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.rank == 0 and not self.invariants
 
     def betti_mod_p(self, p: int) -> int:
         """dim over Z/p of (self tensor Z/p): rank + p-divisible invariants."""

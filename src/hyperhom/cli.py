@@ -203,7 +203,7 @@ def cmd_ez_aw_demo(config: RunConfig) -> str:
     ctx = TensorContext.from_hypergraphs(seg, seg)
     square = product_boxtimes(seg, seg).closure
     mu_rows = []
-    for block in ctx.bases:
+    for block in ctx.simplices:
         for s, u in block:
             t = TensorChain.of_pair(s, u)
             mu_rows.append((t, ez_map(t, ctx)))

@@ -32,7 +32,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Sequence
+from typing import Iterable, Sequence
 
 from .abelian import FGAbelianGroup
 from .errors import IntegrityError, ValidationError
@@ -48,9 +48,6 @@ from .intlinalg import (
     rank,
     rank_mod_p,
 )
-
-if TYPE_CHECKING:
-    from .kunneth import TensorContext
 
 # ------------------------------------------------------------ coefficients
 
@@ -117,21 +114,39 @@ def parse_coefficient(text: str) -> Coefficient:
 
 @dataclass(frozen=True)
 class ChainElement:
-    """Formal integer combination of simplices of one dimension.
+    """Formal integer combination of cells of one degree.
 
-    Keys are strictly increasing vertex-index tuples with degree+1
-    entries; zero coefficients are never stored.
+    The cells are simplices here: strictly increasing vertex-index
+    tuples with degree+1 entries. A subclass names other cells through
+    the two static hooks ``cell_degree`` and ``faces``. Zero
+    coefficients are never stored.
     """
 
     degree: int
-    coeffs: dict[tuple[int, ...], int]
+    coeffs: dict
 
     def __post_init__(self) -> None:
+        cell_degree = self.cell_degree
         for s, c in self.coeffs.items():
-            if len(s) != self.degree + 1:
-                raise ValueError(f"simplex {s} has the wrong dimension")
+            if cell_degree(s) != self.degree:
+                raise ValueError(f"cell {s} is not of degree {self.degree}")
             if c == 0:
                 raise ValueError("zero coefficients must be dropped")
+
+    @staticmethod
+    def cell_degree(s: tuple[int, ...]) -> int:
+        return len(s) - 1
+
+    @staticmethod
+    def faces(s: tuple[int, ...]) -> Iterable[tuple[tuple[int, ...], int]]:
+        """The signed faces of a simplex: dropping vertex j gives sign
+        (-1)^j. A vertex has no faces."""
+        n = len(s) - 1
+        if not n:
+            return ()
+        # combinations drops the last vertex first
+        signs = itertools.cycle((-1, 1) if n % 2 else (1, -1))
+        return zip(itertools.combinations(s, n), signs)
 
     @classmethod
     def of_simplex(cls, s: tuple[int, ...]) -> "ChainElement":
@@ -146,40 +161,18 @@ class ChainElement:
         acc = dict(self.coeffs)
         for s, c in other.coeffs.items():
             acc[s] = acc.get(s, 0) + c
-        return ChainElement(self.degree, {s: c for s, c in acc.items() if c})
+        return type(self)(self.degree, {s: c for s, c in acc.items() if c})
 
 
 def chain_boundary(c: ChainElement) -> ChainElement:
-    """Simplicial boundary, purely combinatorial: drop vertex j with
-    sign (-1)^j. Degree 0 maps to the (empty) degree -1 chain."""
-    acc: dict[tuple[int, ...], int] = {}
-    if c.degree > 0:
-        for s, v in c.coeffs.items():
-            for j in range(len(s)):
-                f = s[:j] + s[j + 1 :]
-                acc[f] = acc.get(f, 0) + (v if j % 2 == 0 else -v)
-    return ChainElement(c.degree - 1, {s: v for s, v in acc.items() if v})
-
-
-def chain_to_vector(
-    c: ChainElement, k: SimplicialComplex | SimplexCoordinates
-) -> dict[int, int] | None:
-    """Coordinates of a chain in the canonical simplex order of ``k``, or
-    None when its support leaves ``k``'s simplices."""
-    pos = k.simplex_positions(c.degree)
-    out = {}
+    """Boundary of a chain, purely combinatorial: each cell goes to its
+    signed faces. Degree 0 maps to the (empty) degree -1 chain."""
+    acc: dict = {}
+    faces = c.faces
     for s, v in c.coeffs.items():
-        if s not in pos:
-            return None
-        out[pos[s]] = v
-    return out
-
-
-def chain_from_vector(
-    k: SimplicialComplex | SimplexCoordinates, n: int, vec: dict[int, int]
-) -> ChainElement:
-    simplices = k.simplices_of_dim(n)
-    return ChainElement(n, {simplices[i]: v for i, v in vec.items() if v})
+        for f, sign in faces(s):
+            acc[f] = acc.get(f, 0) + sign * v
+    return type(c)(c.degree - 1, {f: v for f, v in acc.items() if v})
 
 
 def render_chain(c: ChainElement, k: SimplicialComplex) -> str:
@@ -198,65 +191,64 @@ def render_chain(c: ChainElement, k: SimplicialComplex) -> str:
 # --------------------------------------------------------------- boundaries
 
 
-def boundary_matrix(
-    k: SimplicialComplex | SimplexCoordinates, n: int
-) -> SparseIntMatrix:
-    """Matrix of the simplicial boundary from n-chains to (n-1)-chains.
+def boundary_matrix(k: Coordinates, n: int) -> SparseIntMatrix:
+    """Matrix of the boundary from degree-n chains to degree-(n-1) chains
+    on the coordinates ``k``.
 
-    Columns follow the canonical n-simplex order, rows the (n-1) order;
-    dropping vertex j contributes (-1)^j. Degree 0 maps to the zero
-    module, so the matrix has no rows. When ``k`` is not closed under
-    faces (facet coordinates), every face outside its (n-1)-simplices
-    gets its own overflow row after theirs, in order of first occurrence;
-    a complex has none.
+    Columns follow the canonical degree-n cell order, rows the degree
+    n-1 order; each entry is the sign of a face, as ``k.chain.faces``
+    gives it. Degree 0 maps to the zero module, so the matrix has no
+    rows. When ``k`` is not closed under faces (facet coordinates), every
+    face outside its degree-(n-1) cells gets its own overflow row after
+    theirs, in order of first occurrence; a complex has none.
     """
     if n < 0:
         raise ValueError("degree must be non-negative")
     cols = k.simplices_of_dim(n)
     pos = k.simplex_positions(n - 1)
-    overflow: dict[tuple[int, ...], int] = {}
+    faces = k.chain.faces
+    overflow: dict = {}
     out: list[dict[int, int]] = []
     for s in cols:
         col: dict[int, int] = {}
-        if n:
-            # combinations drops the last vertex first
-            for drop, f in zip(range(n, -1, -1), itertools.combinations(s, n)):
-                i = pos.get(f)
-                if i is None:
-                    i = overflow.setdefault(f, len(pos) + len(overflow))
-                col[i] = -1 if drop % 2 else 1
+        # the faces of one cell are distinct
+        for f, sign in faces(s):
+            i = pos.get(f)
+            if i is None:
+                i = overflow.setdefault(f, len(pos) + len(overflow))
+            col[i] = sign
         out.append(col)
     m = SparseIntMatrix(len(pos) + len(overflow), len(cols))
     m._cols = out
     return m
 
 
-@dataclass(frozen=True)
-class SimplexCoordinates:
+class Coordinates:
     """Named coordinates for chains: ``simplices[n]`` lists the degree-n
-    coordinate simplices in canonical order.
+    cells in canonical order, and ``chain`` is the chain type whose
+    hooks give a cell's degree and faces.
 
     Need not be closed under faces: a boundary face outside the
     coordinates gets an overflow row past the coordinate rows, so it is
-    never dropped. A :class:`SimplicialComplex` is closed, and its
-    ``coordinates`` are its simplices.
+    never dropped. A subclass supplies ``simplices``.
     """
 
-    simplices: tuple[tuple[tuple[int, ...], ...], ...]
+    chain = ChainElement
+    simplices: tuple[tuple, ...]
 
     @property
     def top_degree(self) -> int:
         return len(self.simplices) - 1
 
-    def simplices_of_dim(self, n: int) -> tuple[tuple[int, ...], ...]:
+    def simplices_of_dim(self, n: int) -> tuple:
         return self.simplices[n] if 0 <= n < len(self.simplices) else ()
 
     @cached_property
-    def _positions(self) -> tuple[dict[tuple[int, ...], int], ...]:
+    def _positions(self) -> tuple[dict, ...]:
         return tuple({s: k for k, s in enumerate(b)} for b in self.simplices)
 
-    def simplex_positions(self, n: int) -> dict[tuple[int, ...], int]:
-        """Map each degree-n coordinate simplex to its position; read-only."""
+    def simplex_positions(self, n: int) -> dict:
+        """Map each degree-n cell to its position; read-only."""
         return self._positions[n] if 0 <= n < len(self.simplices) else {}
 
     @cached_property
@@ -264,6 +256,29 @@ class SimplexCoordinates:
         """Boundary matrices of every degree, with overflow rows, see
         :func:`boundary_matrix`."""
         return tuple(boundary_matrix(self, n) for n in range(len(self.simplices)))
+
+    def to_vector(self, c: ChainElement) -> dict[int, int] | None:
+        """Coordinates of a chain, or None when its support leaves the
+        cells."""
+        pos = self.simplex_positions(c.degree)
+        out = {}
+        for s, v in c.coeffs.items():
+            if s not in pos:
+                return None
+            out[pos[s]] = v
+        return out
+
+    def from_vector(self, n: int, vec: dict[int, int]) -> ChainElement:
+        cells = self.simplices_of_dim(n)
+        return self.chain(n, {cells[i]: v for i, v in vec.items() if v})
+
+
+@dataclass(frozen=True)
+class SimplexCoordinates(Coordinates):
+    """Coordinates on simplices. A :class:`SimplicialComplex` is closed,
+    and its ``coordinates`` are its simplices."""
+
+    simplices: tuple[tuple[tuple[int, ...], ...], ...]
 
 
 def facet_coordinates(h: Hypergraph) -> SimplexCoordinates:
@@ -288,8 +303,8 @@ class GradedSubmodule:
     and one basis per degree.
 
     ``coordinates`` names the ambient complex, simplices or simplex pairs
-    (:class:`SimplexCoordinates` or a tensor context), one degree per
-    basis. ``bases[n]`` holds basis columns in the degree-n coordinates:
+    (a :class:`Coordinates`), one degree per basis. ``bases[n]`` holds
+    basis columns in the degree-n coordinates:
     ``coordinates.simplices_of_dim(n)[i]`` is row i. The ambient
     boundaries are ``coordinates.boundaries``, built only when a route
     reads them; the first rows of ``boundaries[n]`` are the degree n-1
@@ -299,7 +314,7 @@ class GradedSubmodule:
     be saturated.
     """
 
-    coordinates: SimplexCoordinates | TensorContext
+    coordinates: Coordinates
     bases: tuple[SparseIntMatrix, ...]
 
     def __post_init__(self) -> None:

@@ -152,27 +152,53 @@ def test_kunneth_structured_over_prime_field(tmp_path, capsys) -> None:
     }
 
 
+EZ_AW_SHUFFLE = [
+    ("{0}(x){0}", "{0|0}"),
+    ("{0}(x){1}", "{0|1}"),
+    ("{1}(x){0}", "{1|0}"),
+    ("{1}(x){1}", "{1|1}"),
+    ("{0}(x){0,1}", "{0|0,0|1}"),
+    ("{1}(x){0,1}", "{1|0,1|1}"),
+    ("{0,1}(x){0}", "{0|0,1|0}"),
+    ("{0,1}(x){1}", "{0|1,1|1}"),
+    ("{0,1}(x){0,1}", "- {0|0,0|1,1|1} + {0|0,1|0,1|1}"),
+]
+EZ_AW_FRONT_BACK = [
+    ("{0|0}", "{0}(x){0}"),
+    ("{0|1}", "{0}(x){1}"),
+    ("{1|0}", "{1}(x){0}"),
+    ("{1|1}", "{1}(x){1}"),
+    ("{0|0,0|1}", "{0}(x){0,1}"),
+    ("{0|0,1|0}", "{0,1}(x){0}"),
+    ("{0|0,1|1}", "{0}(x){0,1} + {0,1}(x){1}"),
+    ("{0|1,1|1}", "{0,1}(x){1}"),
+    ("{1|0,1|1}", "{1}(x){0,1}"),
+    ("{0|0,0|1,1|1}", "0"),
+    ("{0|0,1|0,1|1}", "{0,1}(x){0,1}"),
+]
+
+
 def test_ez_aw_demo_text(capsys) -> None:
     code, out, _ = run(capsys, "ez-aw-demo")
     assert code == 0
-    lines = out.splitlines()
-    assert lines[0] == "shuffle map on the square (segment x segment)"
-    assert "  {0,1}(x){0,1} -> - {0|0,0|1,1|1} + {0|0,1|0,1|1}" in lines
-    assert "front/back-face map on the square" in lines
-    assert "  {0|0,1|1} -> {0}(x){0,1} + {0,1}(x){1}" in lines
-    assert "  {0|0,0|1,1|1} -> 0" in lines
-    assert "  {0|0,1|0,1|1} -> {0,1}(x){0,1}" in lines
+    lines = ["shuffle map on the square (segment x segment)"]
+    lines += [f"  {t} -> {image}" for t, image in EZ_AW_SHUFFLE]
+    lines += ["front/back-face map on the square"]
+    lines += [f"  {sx} -> {image}" for sx, image in EZ_AW_FRONT_BACK]
+    assert out == "\n".join(lines) + "\n"
 
 
 def test_ez_aw_demo_structured(capsys) -> None:
     code, out, _ = run(capsys, "ez-aw-demo", "--format", "structured")
     assert code == 0
-    doc = json.loads(out)
-    assert doc["command"] == "ez-aw-demo"
-    assert len(doc["shuffle"]) == 9
-    assert len(doc["front_back"]) == 11
-    images = {row["tensor"]: row["image"] for row in doc["shuffle"]}
-    assert images["{0}(x){0,1}"] == "{0|0,0|1}"
+    doc = {
+        "command": "ez-aw-demo",
+        "shuffle": [{"tensor": t, "image": image} for t, image in EZ_AW_SHUFFLE],
+        "front_back": [
+            {"simplex": sx, "image": image} for sx, image in EZ_AW_FRONT_BACK
+        ],
+    }
+    assert out == json.dumps(doc, indent=2) + "\n"
 
 
 def test_fuzz_reports_are_reproducible(capsys) -> None:

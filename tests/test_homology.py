@@ -5,10 +5,13 @@ from hypothesis import given, settings, strategies as st
 
 import hyperhom.homology as homology
 from homology_oracle import (
+    oracle_boundary_matrix,
     oracle_classical_homology,
     oracle_inf_chain,
     oracle_submodule_homology,
     oracle_sup_chain,
+    oracle_tensor_boundary,
+    oracle_tensor_boundary_matrix,
 )
 from hyperhom.abelian import FGAbelianGroup
 from hyperhom.errors import IntegrityError, ValidationError
@@ -22,10 +25,11 @@ from hyperhom.examples import (
 from hyperhom.homology import (
     INTEGERS,
     RATIONALS,
+    ChainElement,
     Coefficient,
     GradedSubmodule,
     boundary_matrix,
-    chain_from_vector,
+    chain_boundary,
     classical_homology,
     embedded_homology,
     facet_coordinates,
@@ -44,6 +48,8 @@ from hyperhom.hypergraph import (
     random_hypergraph,
 )
 from hyperhom.intlinalg import SparseIntMatrix
+from hyperhom.kunneth import TensorChain, TensorContext
+from test_kunneth import small_pairs
 
 
 def small_hypergraphs(max_vertices=6, max_dim=3):
@@ -97,29 +103,59 @@ def test_parse_coefficient():
 
 def test_boundary_of_an_edge():
     k = associated_complex(hypergraph_from_edges([["a", "b"]]))
-    d1 = boundary_matrix(k, 1)
+    d1 = boundary_matrix(k.coordinates, 1)
     # rows: {a}, {b}; the edge maps to {b} - {a}
     assert d1.to_rows() == [[-1], [1]]
 
 
 def test_boundary_degree_zero_has_no_rows():
     k = triangle_boundary()
-    d0 = boundary_matrix(k, 0)
+    d0 = boundary_matrix(k.coordinates, 0)
     assert d0.nrows == 0 and d0.ncols == 3
 
 
 def test_boundary_squares_to_zero_on_full_simplex():
-    k = associated_complex(hypergraph_from_edges([["a", "b", "c", "d"]]))
+    c = associated_complex(hypergraph_from_edges([["a", "b", "c", "d"]])).coordinates
     for n in range(1, 4):
-        comp = boundary_matrix(k, n) @ boundary_matrix(k, n + 1)
+        comp = boundary_matrix(c, n) @ boundary_matrix(c, n + 1)
         assert comp.is_zero()
 
 
 @given(small_hypergraphs())
 def test_boundary_squares_to_zero_everywhere(h):
     k = associated_complex(h)
+    c = k.coordinates
     for n in range(1, k.dim + 2):
-        assert (boundary_matrix(k, n) @ boundary_matrix(k, n + 1)).is_zero()
+        assert (boundary_matrix(c, n) @ boundary_matrix(c, n + 1)).is_zero()
+
+
+@settings(max_examples=30)
+@given(small_hypergraphs(), sparse_wide_hypergraphs(), small_pairs(), st.data())
+def test_boundaries_match_the_face_rule_oracles(h, wide, pair, data):
+    # facet coordinates (with overflow rows), closures, and simplex pairs
+    for c in (h.coordinates, wide.coordinates, h.closure.coordinates):
+        for n in range(c.top_degree + 1):
+            assert boundary_matrix(c, n) == oracle_boundary_matrix(c, n)
+    ctx = TensorContext.from_hypergraphs(*pair)
+    for n in range(ctx.top_degree + 1):
+        assert boundary_matrix(ctx, n) == oracle_tensor_boundary_matrix(ctx, n)
+        cells = ctx.simplices_of_dim(n)
+        if cells:
+            nonzero = st.integers(-3, 3).filter(bool)
+            coeffs = data.draw(st.dictionaries(st.sampled_from(cells), nonzero))
+            t = TensorChain(n, coeffs)
+            assert chain_boundary(t) == oracle_tensor_boundary(t)
+
+
+def test_to_vector_is_none_off_the_cells():
+    k = triangle_boundary()
+    c = ChainElement(1, {(0, 1): 2, (1, 2): -1})
+    assert k.coordinates.from_vector(1, k.coordinates.to_vector(c)) == c
+    assert k.coordinates.to_vector(ChainElement.of_simplex((0, 1, 2))) is None
+    ctx = TensorContext(k, k)
+    t = TensorChain(1, {((0,), (1, 2)): 3, ((0, 2), (1,)): -1})
+    assert ctx.from_vector(1, ctx.to_vector(t)) == t
+    assert ctx.to_vector(TensorChain.of_pair((0, 1, 2), (0,))) is None
 
 
 # ---------------------------------------------------------------- infimum
@@ -214,7 +250,7 @@ def test_face_outside_the_coordinates_is_refused():
 
 def _basis_chains(m, n):
     b = m.bases[n]
-    return [chain_from_vector(m.coordinates, n, b.column(j)) for j in range(b.ncols)]
+    return [m.coordinates.from_vector(n, b.column(j)) for j in range(b.ncols)]
 
 
 def _assert_matches_closure_oracle(h):
@@ -350,7 +386,7 @@ def test_infimum_and_supremum_routes_run_cold(spy):
     assert h.inf is not h.sup and h.inf.bases != h.sup.bases
     # later answers come from the memo, and a caller's edits do not reach it
     want = list(groups)
-    groups.append(FGAbelianGroup.free(7))
+    groups.append(FGAbelianGroup(7))
     groups[0] = None
     assert embedded_homology(h, INTEGERS) == want
     assert embedded_homology(h, INTEGERS, verify=True) == want
