@@ -2,10 +2,11 @@
 
 A group is stored as a free rank plus an ascending chain of invariant
 factors (each at least 2, each dividing the next), so equality of
-values is isomorphism of groups. Tensor and Tor are computed per prime:
+values is isomorphism of groups. Tensor and Tor act on cyclic summands,
+and the orders are regrouped into the chain without factoring:
 
-    Z/p^a (x) Z/p^b  = Z/p^min(a,b)     Tor(Z/p^a, Z/p^b) = Z/p^min(a,b)
-    Z     (x) G      = G                Tor(free, G)      = 0
+    Z/s (x) Z/t  = Z/gcd(s,t)     Tor(Z/s, Z/t) = Z/gcd(s,t)
+    Z   (x) G    = G              Tor(free, G)  = 0
 
 >>> FGAbelianGroup.from_parts(0, [2, 3])
 FGAbelianGroup(rank=0, invariants=(6,))
@@ -17,43 +18,28 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .intlinalg import SparseIntMatrix, invariant_factors
 
 
-def _prime_power_factors(n: int) -> dict[int, int]:
-    """Factor n >= 2 into {prime: exponent} by trial division."""
-    out: dict[int, int] = {}
-    f = 2
-    while f * f <= n:
-        while n % f == 0:
-            out[f] = out.get(f, 0) + 1
-            n //= f
-        f += 1 if f == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
 def _regroup(torsion: Iterable[int]) -> tuple[int, ...]:
-    """Turn arbitrary cyclic torsion orders into the invariant factor chain."""
-    by_prime: dict[int, list[int]] = {}
+    """Turn arbitrary cyclic torsion orders into the invariant factor chain.
+
+    Each order enters the chain from the top: Z/a + Z/b = Z/gcd + Z/lcm,
+    so the lcm stays and the gcd moves down, and the chain keeps dividing.
+    The gcd left at the bottom is dropped when it is 1, a trivial summand.
+    """
+    chain: list[int] = []
     for t in torsion:
         if t < 2:
             raise ValueError(f"torsion order must be >= 2, got {t}")
-        for p, e in _prime_power_factors(t).items():
-            by_prime.setdefault(p, []).append(e)
-    if not by_prime:
-        return ()
-    width = max(len(es) for es in by_prime.values())
-    factors = [1] * width
-    for p, es in by_prime.items():
-        es.sort(reverse=True)
-        # largest exponent goes into the last invariant factor
-        for slot, e in enumerate(es):
-            factors[width - 1 - slot] *= p**e
-    return tuple(factors)
+        for i in range(len(chain) - 1, -1, -1):
+            g = gcd(chain[i], t)
+            chain[i], t = chain[i] // g * t, g
+        if t > 1:
+            chain.insert(0, t)
+    return tuple(chain)
 
 
 @dataclass(frozen=True)

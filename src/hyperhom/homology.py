@@ -336,12 +336,9 @@ class GradedSubmodule:
     def basis_rank(self, n: int) -> int:
         return self.bases[n].ncols if 0 <= n <= self.top_degree else 0
 
-    def membership_solver(self, n: int) -> LatticeSolver:
-        return LatticeSolver(self.bases[n])
-
     def contains(self, n: int, vector: dict[int, int]) -> bool:
         """Is the ambient coordinate vector in the degree-n lattice?"""
-        return self.membership_solver(n).solve(vector) is not None
+        return LatticeSolver(self.bases[n]).solve(vector) is not None
 
     @cached_property
     def restricted(self) -> list[SparseIntMatrix]:

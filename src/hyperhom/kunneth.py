@@ -28,12 +28,11 @@ from .homology import (
     Coefficient,
     Coordinates,
     GradedSubmodule,
-    chain_boundary,
     embedded_homology,
     inf_bases_of_span,
 )
 from .hypergraph import Hypergraph, SimplicialComplex, lattice_paths, product_boxtimes
-from .intlinalg import SparseIntMatrix, column_hnf
+from .intlinalg import LatticeSolver, SparseIntMatrix, column_hnf
 
 SimplexPair = tuple[tuple[int, ...], tuple[int, ...]]
 
@@ -345,63 +344,80 @@ def kunneth_check(
 field_kunneth_check = kunneth_check
 
 
+def _in_bases(
+    chain_map, ctx: TensorContext, source: GradedSubmodule, target: GradedSubmodule, names
+) -> list[SparseIntMatrix]:
+    """A chain map written in two infimum bases, one matrix per degree:
+    column j of entry n holds the target-basis coefficients of the image
+    of source basis column j. ``chain_map`` runs once per column. An
+    image off the target coordinates or outside its lattice raises
+    IntegrityError, worded with ``names``: the map, source and target."""
+    what, source_name, target_name = names
+    out = []
+    for n, basis in enumerate(source.bases):
+        solver = LatticeSolver(target.bases[n])
+        cols = []
+        for j in range(basis.ncols):
+            x = source.coordinates.from_vector(n, basis.column(j))
+            vec = target.coordinates.to_vector(chain_map(x, ctx))
+            coeffs = None if vec is None else solver.solve(vec)
+            if coeffs is None:
+                raise IntegrityError(
+                    f"{what} image of {source_name} basis column {j} "
+                    f"(degree {n}) is outside the {target_name} infimum"
+                )
+            cols.append(coeffs)
+        out.append(SparseIntMatrix.from_columns(target.basis_rank(n), cols))
+    return out
+
+
+def _require_equal(got: SparseIntMatrix, want: SparseIntMatrix, n: int, what: str) -> None:
+    """Raise IntegrityError naming the first column where two degree-n
+    matrices differ."""
+    if got != want:
+        j = next(j for j in range(got.ncols) if got.column(j) != want.column(j))
+        raise IntegrityError(f"{what} basis column {j} (degree {n})")
+
+
 def restricted_chainmap_check(
     h: Hypergraph, h2: Hypergraph, verify: bool = False
 ) -> ChainMapReport:
-    """Verify the chain-map identities on every basis column.
+    """Verify the chain-map identities on the infimum bases.
 
-    For each tensor infimum basis chain x: the shuffle image lies in
-    the product infimum, commutes with the boundaries, and the
-    front/back-face map returns exactly x. For each product infimum
-    basis chain c: the front/back-face image lies in the tensor
-    infimum and commutes with the boundaries. Any failure raises
-    IntegrityError naming the offending chain. With ``verify`` the
-    tensor infimum is also recomputed directly, see
+    The shuffle map becomes matrices EZ[n] from the tensor to the product
+    infimum basis, the front/back-face map AW[n] back; an image outside
+    the other infimum raises. With dT, dP the restricted boundaries, each
+    degree checks dP[n] EZ[n] = EZ[n-1] dT[n], dT[n] AW[n] = AW[n-1] dP[n]
+    and AW[n] EZ[n] = 1, which hold exactly when the chain identities hold
+    on each basis chain (solves are exact, basis columns independent). A
+    failure raises IntegrityError naming the first offending column. With
+    ``verify`` the tensor infimum is also recomputed directly, see
     :func:`inf_tensor_basis`.
     """
     tensor_inf = inf_tensor_basis(h, h2, verify=verify)
     ctx = tensor_inf.coordinates
     product_inf = product_boxtimes(h, h2).inf
-    coords = product_inf.coordinates
-    checked_t = checked_p = 0
+    ez = _in_bases(
+        ez_map, ctx, tensor_inf, product_inf, ("shuffle", "tensor", "product")
+    )
+    aw = _in_bases(
+        aw_map, ctx, product_inf, tensor_inf, ("front/back-face", "product", "tensor")
+    )
+    d_t, d_p = tensor_inf.restricted, product_inf.restricted
     for n in range(tensor_inf.top_degree + 1):
-        tb = tensor_inf.bases[n]
-        pb = product_inf.bases[n]
-        product_solver = product_inf.membership_solver(n)
-        tensor_solver = tensor_inf.membership_solver(n)
-        for j in range(tb.ncols):
-            x = ctx.from_vector(n, tb.column(j))
-            mx = ez_map(x, ctx)
-            vec = coords.to_vector(mx)
-            if vec is None or product_solver.solve(vec) is None:
-                raise IntegrityError(
-                    f"shuffle image of tensor basis column {j} (degree {n}) "
-                    "is outside the product infimum"
-                )
-            if chain_boundary(mx) != ez_map(chain_boundary(x), ctx):
-                raise IntegrityError(
-                    f"shuffle map does not commute with boundaries on "
-                    f"tensor basis column {j} (degree {n})"
-                )
-            if aw_map(mx, ctx) != x:
-                raise IntegrityError(
-                    f"front/back-face after shuffle is not the identity on "
-                    f"tensor basis column {j} (degree {n})"
-                )
-            checked_t += 1
-        for j in range(pb.ncols):
-            c = coords.from_vector(n, pb.column(j))
-            nc = aw_map(c, ctx)
-            vec = ctx.to_vector(nc)
-            if vec is None or tensor_solver.solve(vec) is None:
-                raise IntegrityError(
-                    f"front/back-face image of product basis column {j} "
-                    f"(degree {n}) is outside the tensor infimum"
-                )
-            if chain_boundary(nc) != aw_map(chain_boundary(c), ctx):
-                raise IntegrityError(
-                    f"front/back-face map does not commute with boundaries "
-                    f"on product basis column {j} (degree {n})"
-                )
-            checked_p += 1
-    return ChainMapReport(tensor_inf.top_degree, checked_t, checked_p)
+        if n:
+            _require_equal(
+                d_p[n] @ ez[n], ez[n - 1] @ d_t[n], n,
+                "shuffle map does not commute with boundaries on tensor",
+            )
+            _require_equal(
+                d_t[n] @ aw[n], aw[n - 1] @ d_p[n], n,
+                "front/back-face map does not commute with boundaries on product",
+            )
+        _require_equal(
+            aw[n] @ ez[n], SparseIntMatrix.identity(ez[n].ncols), n,
+            "front/back-face after shuffle is not the identity on tensor",
+        )
+    return ChainMapReport(
+        tensor_inf.top_degree, sum(m.ncols for m in ez), sum(m.ncols for m in aw)
+    )

@@ -18,29 +18,81 @@ for simplices and simplex pairs alike. The oracles here write the two
 face rules out separately, as the library once did: a loop over
 ``combinations`` for simplex coordinates, and vertex slicing for tensor
 chains.
+
+Invariant factors: the library inserts each cyclic order into the
+divisibility chain by gcd/lcm swaps. :func:`oracle_regroup` factors each
+order into prime powers and deals them out per prime, as the library
+once did.
+
+Chain maps: the library writes the shuffle and front/back-face maps in
+the two infimum bases and checks the chain-map identities as matrix
+equalities. :func:`oracle_chainmap_check` checks them as the library
+once did, one basis chain at a time: map it, take chain boundaries on
+both sides, and map back. It calls the maps through the ``kunneth``
+module, so a map planted there reaches both routes.
 """
 
 from __future__ import annotations
 
 import itertools
 
+import hyperhom.kunneth as kunneth
 from hyperhom.abelian import FGAbelianGroup, from_presentation
 from hyperhom.errors import IntegrityError
 from hyperhom.homology import (
     GradedSubmodule,
     SimplexCoordinates,
     boundary_matrix,
+    chain_boundary,
     inf_bases_of_span,
     restricted_boundaries,
 )
-from hyperhom.hypergraph import Hypergraph, SimplicialComplex, associated_complex
-from hyperhom.kunneth import SimplexPair, TensorChain, TensorContext
+from hyperhom.hypergraph import (
+    Hypergraph,
+    SimplicialComplex,
+    associated_complex,
+    product_boxtimes,
+)
+from hyperhom.kunneth import ChainMapReport, SimplexPair, TensorChain, TensorContext
 from hyperhom.intlinalg import (
     LatticeSolver,
     SparseIntMatrix,
     kernel_basis,
     lattice_sum_basis,
 )
+
+
+def _prime_power_factors(n: int) -> dict[int, int]:
+    """Factor n >= 2 into {prime: exponent} by trial division."""
+    out: dict[int, int] = {}
+    f = 2
+    while f * f <= n:
+        while n % f == 0:
+            out[f] = out.get(f, 0) + 1
+            n //= f
+        f += 1 if f == 2 else 2
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def oracle_regroup(torsion: list[int]) -> tuple[int, ...]:
+    """The invariant factor chain of Z/t1 + Z/t2 + ..., all t >= 2: per
+    prime, the largest power goes into the last factor, the next largest
+    into the one before, and so on."""
+    by_prime: dict[int, list[int]] = {}
+    for t in torsion:
+        for p, e in _prime_power_factors(t).items():
+            by_prime.setdefault(p, []).append(e)
+    if not by_prime:
+        return ()
+    width = max(len(es) for es in by_prime.values())
+    factors = [1] * width
+    for p, es in by_prime.items():
+        es.sort(reverse=True)
+        for slot, e in enumerate(es):
+            factors[width - 1 - slot] *= p**e
+    return tuple(factors)
 
 
 def oracle_chain_homology(d: list[SparseIntMatrix]) -> list[FGAbelianGroup]:
@@ -177,3 +229,51 @@ def oracle_tensor_boundary_matrix(ctx: TensorContext, n: int) -> SparseIntMatrix
         image = oracle_tensor_boundary(TensorChain.of_pair(*pair))
         cols.append({pos[key]: v for key, v in image.terms.items()})
     return SparseIntMatrix.from_columns(len(pos), cols)
+
+
+def oracle_chainmap_check(h: Hypergraph, h2: Hypergraph) -> ChainMapReport:
+    """The chain-map identities, checked chain by chain on every basis
+    column. For each tensor infimum basis chain x: the shuffle image
+    lies in the product infimum, commutes with the boundaries, and the
+    front/back-face map returns exactly x. For each product infimum
+    basis chain c: the front/back-face image lies in the tensor infimum
+    and commutes with the boundaries. Any failure raises IntegrityError."""
+    tensor_inf = kunneth.inf_tensor_basis(h, h2)
+    ctx = tensor_inf.coordinates
+    product_inf = product_boxtimes(h, h2).inf
+    coords = product_inf.coordinates
+    checked_t = checked_p = 0
+    for n in range(tensor_inf.top_degree + 1):
+        tb = tensor_inf.bases[n]
+        for j in range(tb.ncols):
+            x = ctx.from_vector(n, tb.column(j))
+            mx = kunneth.ez_map(x, ctx)
+            vec = coords.to_vector(mx)
+            if vec is None or not product_inf.contains(n, vec):
+                raise IntegrityError(
+                    f"shuffle image of tensor column {j} leaves the infimum"
+                )
+            if chain_boundary(mx) != kunneth.ez_map(chain_boundary(x), ctx):
+                raise IntegrityError(
+                    f"shuffle map does not commute on tensor column {j}"
+                )
+            if kunneth.aw_map(mx, ctx) != x:
+                raise IntegrityError(
+                    f"round trip is not the identity on tensor column {j}"
+                )
+            checked_t += 1
+        pb = product_inf.bases[n]
+        for j in range(pb.ncols):
+            c = coords.from_vector(n, pb.column(j))
+            nc = kunneth.aw_map(c, ctx)
+            vec = ctx.to_vector(nc)
+            if vec is None or not tensor_inf.contains(n, vec):
+                raise IntegrityError(
+                    f"front/back-face image of product column {j} leaves the infimum"
+                )
+            if chain_boundary(nc) != kunneth.aw_map(chain_boundary(c), ctx):
+                raise IntegrityError(
+                    f"front/back-face map does not commute on product column {j}"
+                )
+            checked_p += 1
+    return ChainMapReport(tensor_inf.top_degree, checked_t, checked_p)

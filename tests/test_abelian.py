@@ -1,7 +1,8 @@
 """Finitely generated abelian groups: canonical form, tensor, Tor.
 
 Oracles: element-order censuses of small groups (enumerated directly),
-and presentations pushed through the independent Smith pipeline.
+presentations pushed through the independent Smith pipeline, and the
+prime-power regrouping of ``homology_oracle.oracle_regroup``.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from math import gcd, lcm
 import pytest
 from hypothesis import given, strategies as st
 
+from homology_oracle import oracle_regroup
 from hyperhom.abelian import FGAbelianGroup, direct_sum, from_presentation
 from hyperhom.intlinalg import SparseIntMatrix
 
@@ -51,6 +53,11 @@ def test_invalid_chains_rejected():
         FGAbelianGroup(-1)
     with pytest.raises(ValueError):
         FGAbelianGroup.from_parts(0, [0])
+
+
+@given(st.lists(st.integers(2, 64) | st.integers(2, 10**6), max_size=8))
+def test_regrouping_matches_the_prime_power_oracle(torsion):
+    assert FGAbelianGroup.from_parts(0, torsion).invariants == oracle_regroup(torsion)
 
 
 @given(small_orders)

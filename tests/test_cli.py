@@ -324,26 +324,27 @@ def test_kunneth_verify_builds_the_tensor_infimum_once(tmp_path, capsys, spy) ->
     assert len(direct_calls) == 1
 
 
-def test_only_the_direct_tensor_infimum_builds_tensor_boundaries(
-    tmp_path, capsys, monkeypatch
-) -> None:
-    built = []
-    real = kunneth.inf_tensor_basis
+def test_tensor_boundaries_are_built_once_per_pair(tmp_path, capsys, spy) -> None:
+    calls = spy(homology, "boundary_matrix")
 
-    def recorded(*args, **kwargs):
-        built.append(real(*args, **kwargs))
-        return built[-1]
+    def assert_built_once() -> None:
+        # the chain-map check reads the tensor boundaries through the
+        # restricted boundaries; --verify also builds the direct infimum
+        # from them, on the same tensor context
+        built = [args for args, _ in calls if isinstance(args[0], kunneth.TensorContext)]
+        contexts = {id(ctx) for ctx, _ in built}
+        assert len(contexts) == 1
+        assert [n for _, n in built] == list(range(built[0][0].top_degree + 1))
+        calls.clear()
 
-    monkeypatch.setattr(kunneth, "inf_tensor_basis", recorded)
     right_text = "w1\nw0 w1\n"
     h, h2 = parse_hypergraph(SEGMENT_WITH_POINT), parse_hypergraph(right_text)
     assert check_pair(h, h2) is None
-    # the chain-map check reads the tensor bases, never the boundaries
-    assert len(built) == 1 and "boundaries" not in built[0].coordinates.__dict__
+    assert_built_once()
     left = write(tmp_path, "l.txt", SEGMENT_WITH_POINT)
     right = write(tmp_path, "r.txt", right_text)
     assert run(capsys, "kunneth", left, right, "--verify")[0] == 0
-    assert len(built) == 2 and "boundaries" in built[1].coordinates.__dict__
+    assert_built_once()
 
 
 def test_fuzz_bounds_default_to_the_fuzz_config(capsys, monkeypatch) -> None:

@@ -57,9 +57,10 @@ def test_check_pair_computes_each_derived_value_once(spy) -> None:
     }
     tensor_calls = spy(kunneth, "inf_tensor_basis")
     assert check_pair(h, h2) is None
-    # once per hypergraph (both factors and the product) and route
+    # once per hypergraph (both factors and the product) and route, plus
+    # the tensor infimum's, which the chain-map check reads
     counts = {name: len(c) for name, c in calls.items()}
-    assert counts == {"inf_chain": 3, "sup_chain": 3, "restricted_boundaries": 6}
+    assert counts == {"inf_chain": 3, "sup_chain": 3, "restricted_boundaries": 7}
     # one tensor infimum, without the direct recomputation
     assert [kwargs.get("verify", False) for _, kwargs in tensor_calls] == [False]
 

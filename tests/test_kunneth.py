@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import hyperhom.hypergraph as hypergraph
 import hyperhom.kunneth as kunneth
+from homology_oracle import oracle_chainmap_check
 from hyperhom.examples import (
     homology_demo_pair,
     projective_plane,
@@ -19,6 +20,7 @@ from hyperhom.examples import (
     vertex_hypergraph,
 )
 from hyperhom.errors import IntegrityError
+from hyperhom.fuzz import check_pair
 from hyperhom.homology import (
     INTEGERS,
     RATIONALS,
@@ -420,6 +422,77 @@ def test_chainmap_check_builds_only_the_factor_closures(spy):
 @given(small_pairs(max_vertices=4, max_dim=2))
 def test_restricted_chainmap_property(pair):
     restricted_chainmap_check(*pair)  # raises IntegrityError on any failure
+
+
+def _chainmap_outcome(check, pair):
+    try:
+        report = check(*pair)
+    except IntegrityError:
+        return None
+    return report.tensor_columns_checked, report.product_columns_checked
+
+
+@settings(max_examples=15)
+@given(small_pairs())
+def test_chainmap_check_agrees_with_the_chain_level_oracle(pair):
+    outcome = _chainmap_outcome(restricted_chainmap_check, pair)
+    assert outcome == _chainmap_outcome(oracle_chainmap_check, pair)
+
+
+_REAL_EZ, _REAL_AW = kunneth.ez_map, kunneth.aw_map
+
+
+def _scaled(c, factor):
+    return type(c)(c.degree, {k: factor * v for k, v in c.coeffs.items()})
+
+
+def _front_back_off_the_infimum(c, ctx):
+    image = _REAL_AW(c, ctx)
+    # a vertex tensor of the closures that no hyperedge tensor spans
+    return image + TensorChain.of_pair((0,), (0,)) if c.degree == 0 else image
+
+
+PLANTED_FAULTS = {
+    "front-back-image-outside-the-tensor-infimum": (
+        "aw_map",
+        _front_back_off_the_infimum,
+        "outside the tensor infimum",
+    ),
+    "shuffle-map-off-the-boundaries": (
+        "ez_map",
+        lambda t, ctx: _scaled(_REAL_EZ(t, ctx), 2 if t.degree == 1 else 1),
+        "shuffle map does not commute",
+    ),
+    "front-back-map-off-the-boundaries": (
+        "aw_map",
+        lambda c, ctx: _scaled(_REAL_AW(c, ctx), -1 if c.degree == 1 else 1),
+        "front/back-face map does not commute",
+    ),
+    "broken-round-trip": (
+        "aw_map",
+        lambda c, ctx: _scaled(_REAL_AW(c, ctx), 2),
+        "is not the identity",
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(PLANTED_FAULTS))
+def test_planted_chain_map_faults_are_refused(monkeypatch, fault):
+    name, planted, message = PLANTED_FAULTS[fault]
+    # a closed segment against a segment with one endpoint: the vertex
+    # tensor a (x) w0 is off the tensor infimum, and degree 1 has a basis
+    # chain with a nonzero boundary
+    h = hypergraph_from_edges([["a"], ["b"], ["a", "b"]])
+    h2 = hypergraph_from_edges([["w1"], ["w0", "w1"]])
+    assert restricted_chainmap_check(h, h2) == oracle_chainmap_check(h, h2)
+    monkeypatch.setattr(kunneth, name, planted)
+    with pytest.raises(IntegrityError, match=message):
+        restricted_chainmap_check(h, h2)
+    with pytest.raises(IntegrityError):
+        oracle_chainmap_check(h, h2)
+    outcome = check_pair(h, h2)
+    assert outcome is not None and outcome[0] == "chain-map"
+    assert message in outcome[1]
 
 
 @settings(max_examples=25)
