@@ -17,14 +17,18 @@ overflow row for each face outside them, so no face is ever dropped.
 Either complex is a chain complex of free modules once its boundaries
 are written in the submodule's own basis (the restricted boundaries).
 Over the integers each degree then yields a finitely generated abelian
-group, read off the invariant factors of those matrices:
-H_n = Z^(b_n - r_n - r_{n+1}) plus Z/t for each invariant factor
+group: H_n = Z^(b_n - r_n - r_{n+1}) plus Z/t for each invariant factor
 t >= 2 of the boundary into degree n, where b_n is the basis rank and
-r_n the rank of the boundary out of degree n. Classical homology of a
-simplicial complex uses the same formula on its raw boundary matrices.
-Field coefficients take ranks of the same integer matrices in the
-field (exact rational rank, or rank mod p), so Betti numbers always
-satisfy the universal-coefficient relations with the integral answer.
+r_n the rank of the boundary out of degree n. The invariant factors of
+all degrees come from one reduction of the whole complex: every pair of
+cells joined by a unit boundary coefficient is eliminated, which adds a
+factor 1, and only the small residual takes a Smith normal form (see
+:func:`~hyperhom.intlinalg.chain_invariant_factors`). Classical homology
+of a simplicial complex takes the same route from its raw boundary
+matrices. Field coefficients take ranks of the same matrices, never
+reduced, in the field (exact rational rank, or rank mod p), so the
+universal-coefficient relations between the integral answer and the
+Betti numbers compare two routes that share no elimination.
 """
 
 from __future__ import annotations
@@ -40,8 +44,8 @@ from .hypergraph import Hypergraph, SimplicialComplex
 from .intlinalg import (
     LatticeSolver,
     SparseIntMatrix,
+    chain_invariant_factors,
     column_hnf,
-    invariant_factors,
     is_prime,
     kernel_basis,
     lattice_sum_basis,
@@ -51,9 +55,10 @@ from .intlinalg import (
 
 # ------------------------------------------------------------ coefficients
 
-# Every zp modulus lies below this: is_prime tries odd divisors up to the
-# square root, about 23 000 of them here, so a larger modulus is refused
-# before the test starts.
+# Every zp modulus lies below this; a larger one is refused as invalid
+# input (exit 2 at the command line). The primality test decides moduli
+# far beyond it, so the bound no longer guards its cost: it keeps the
+# accepted range, and the size of the residues rank_mod_p multiplies.
 MAX_MODULUS = 1 << 31
 
 
@@ -338,7 +343,17 @@ class GradedSubmodule:
 
     def contains(self, n: int, vector: dict[int, int]) -> bool:
         """Is the ambient coordinate vector in the degree-n lattice?"""
-        return LatticeSolver(self.bases[n]).solve(vector) is not None
+        return self.solver(n).solve(vector) is not None
+
+    @cached_property
+    def _solvers(self) -> dict[int, LatticeSolver]:
+        return {}
+
+    def solver(self, n: int) -> LatticeSolver:
+        """The :class:`LatticeSolver` of the degree-n basis, built once."""
+        if n not in self._solvers:
+            self._solvers[n] = LatticeSolver(self.bases[n])
+        return self._solvers[n]
 
     @cached_property
     def restricted(self) -> list[SparseIntMatrix]:
@@ -367,7 +382,6 @@ def restricted_boundaries(m: GradedSubmodule) -> list[SparseIntMatrix]:
     leaves it too.
     """
     out: list[SparseIntMatrix] = []
-    solver_below: LatticeSolver | None = None
     for n in range(m.top_degree + 1):
         basis = m.bases[n]
         rows_below = m.bases[n - 1].nrows if n else 0
@@ -378,20 +392,18 @@ def restricted_boundaries(m: GradedSubmodule) -> list[SparseIntMatrix]:
                 cols.append({})
                 continue
             img = m.boundaries[n].apply_to_column(basis.column(j))
-            assert solver_below is not None
             if overflow and img and max(img) >= rows_below:
                 raise IntegrityError(
                     f"boundary of degree-{n} basis column {j} has a face "
                     f"outside the degree-{n - 1} coordinates"
                 )
-            coeffs = solver_below.solve(img)
+            coeffs = m.solver(n - 1).solve(img)
             if coeffs is None:
                 raise IntegrityError(
                     f"boundary of degree-{n} basis column {j} leaves the submodule"
                 )
             cols.append(coeffs)
         out.append(SparseIntMatrix.from_columns(m.basis_rank(n - 1), cols))
-        solver_below = LatticeSolver(basis)
     return out
 
 
@@ -418,7 +430,11 @@ def _chain_homology(
     H_n = Z^(b_n - r_n - r_{n+1}) + sum of Z/t over the invariant factors
     t >= 2 of d[n+1]; over a field, Betti_n = b_n - r_n - r_{n+1} with
     field ranks. This holds only for a chain complex, so the composites
-    d[n-1] @ d[n] are checked to vanish first.
+    d[n-1] @ d[n] are checked to vanish first. Over the integers the
+    whole complex is reduced by its unit pairs and the residual of each
+    degree takes a Smith normal form (:func:`chain_invariant_factors`,
+    which needs d[n-1] @ d[n] = 0 to drop rows exactly). Field ranks
+    read the matrices ``d`` themselves, never the reduced complex.
     """
     for n in range(2, len(d)):
         if not (d[n - 1] @ d[n]).is_zero():
@@ -433,7 +449,7 @@ def _chain_homology(
             ranks = [rank_mod_p(dd, coeff.p) for dd in d]
         ranks.append(0)
         return [dd.ncols - ranks[n] - ranks[n + 1] for n, dd in enumerate(d)]
-    factors = [invariant_factors(dd) for dd in d]
+    factors = chain_invariant_factors(d)
     factors.append(())
     return [
         FGAbelianGroup(

@@ -34,19 +34,38 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
+# Miller-Rabin with the first 13 primes as bases decides every n below
+# this bound (Sorenson & Webster, Math. Comp. 86 (2017)); the first 12,
+# up to 37, stop at 318 665 857 834 031 151 167 461, a strong pseudoprime
+# to all of them.
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
-    """Trial-division primality test; moduli here are desk-scale."""
+    """Deterministic Miller-Rabin test, exact for n below about 3.3e24;
+    a larger n raises ValueError rather than risk a wrong answer."""
+    if n >= _PRIME_LIMIT:
+        raise ValueError(f"primality of {n} is not decided below {_PRIME_LIMIT}")
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for a in _PRIME_BASES:
+        if n % a == 0:
+            return n == a
+    # n - 1 = odd * 2^s; n is a strong probable prime to base a when
+    # a^odd = 1 or one of its s squarings hits -1
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    odd = (n - 1) >> s
+    for a in _PRIME_BASES:
+        x = pow(a, odd, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -410,6 +429,126 @@ def invariant_factors(a: SparseIntMatrix) -> tuple[int, ...]:
     """Invariant factors of ``a`` (Smith diagonal without the transforms)."""
     d, _, _ = _smith(a, want_transforms=False, pivot_order="markowitz")
     return d
+
+
+def chain_invariant_factors(d: Sequence[SparseIntMatrix]) -> list[tuple[int, ...]]:
+    """Invariant factors of every boundary of a chain complex: entry n
+    equals ``invariant_factors(d[n])``.
+
+    ``d[n]`` maps the degree-n cells (its columns) to the degree n-1
+    cells (its rows), and every d[n-1] @ d[n] must vanish; the caller
+    checks that. Unit pairs are eliminated first, over all degrees
+    together (Kaczynski, Mrozek & Slusarek, Comput. Math. Appl. 35
+    (1998)). An entry u = d[n][a, b] = +-1 pairs cell a of degree n-1
+    with cell b of degree n. In the bases where d[n](b) replaces a and
+    j - u d[n][a, j] b replaces every other degree-n cell j, d[n] splits
+    into the 1x1 block u and the Schur complement on its other rows and
+    columns, so the pair leaves one factor 1. Column a of d[n-1] becomes
+    d[n-1] d[n] b = 0. Row b of d[n+1] is, by row a of d[n] d[n+1] = 0,
+    -u times the sum over j != b of d[n][a, j] times row j: an integer
+    combination of the other rows, so dropping it leaves their lattice
+    and the factors of d[n+1] as they were. Each step takes the row with
+    the fewest entries that holds a unit, and in it the unit whose
+    column has the fewest entries, which bounds the fill-in. What is
+    left once no unit remains goes to :func:`invariant_factors`.
+    """
+    # rows[n][i] and cols[n][j]: row i and column j of d[n] as sparse dicts
+    cols = [[dict(c) for c in m._cols] for m in d]
+    rows: list[list[dict[int, int]]] = []
+    for m, cs in zip(d, cols):
+        rs: list[dict[int, int]] = [{} for _ in range(m.nrows)]
+        for j, c in enumerate(cs):
+            for i, v in c.items():
+                rs[i][j] = v
+        rows.append(rs)
+    units = (1, -1)
+    # queue[k] holds (degree, row) for rows of k entries. A row is queued
+    # again whenever an update changes it, so an entry for a row that has
+    # grown since is stale; one that has shrunk without an update (a
+    # column dropped) is taken as it is.
+    queue: list[list[tuple[int, int]]] = [[]]
+
+    def enqueue(n: int, i: int, k: int) -> None:
+        while k >= len(queue):
+            queue.append([])
+        queue[k].append((n, i))
+
+    for n, rs in enumerate(rows):
+        for i, r in enumerate(rs):
+            if r:
+                enqueue(n, i, len(r))
+    pairs = [0] * len(d)
+    k = 1
+    while True:
+        while k < len(queue) and not queue[k]:
+            k += 1
+        if k == len(queue):
+            break
+        n, a = queue[k].pop()
+        rs, cs = rows[n], cols[n]
+        row_a = rs[a]
+        if not row_a or len(row_a) > k:
+            continue
+        if len(row_a) == 1:
+            ((b, v),) = row_a.items()
+            if v not in units:
+                continue
+        else:
+            b = min(
+                (j for j, v in row_a.items() if v in units),
+                key=lambda j: (len(cs[j]), j),
+                default=None,
+            )
+            if b is None:
+                continue
+        # take row a and column b out of d[n]
+        col_b = cs[b]
+        u = row_a.pop(b)
+        del col_b[a]
+        for j in row_a:
+            del cs[j][a]
+        for i in col_b:
+            del rs[i][b]
+        rs[a], cs[b] = {}, {}
+        # Schur update: row i -= (d[i, b] / u) * row a, and 1 / u = u
+        for i, v in col_b.items():
+            f = -v * u
+            row_i = rs[i]
+            for j, w in row_a.items():
+                x = row_i.get(j, 0) + f * w
+                if x:
+                    row_i[j] = cs[j][i] = x
+                else:
+                    del row_i[j], cs[j][i]
+            if row_i:
+                enqueue(n, i, len(row_i))
+                k = min(k, len(row_i))
+        # cell b leaves degree n: its row in d[n+1]
+        if n + 1 < len(d):
+            above_rows, above_cols = rows[n + 1], cols[n + 1]
+            for j in above_rows[b]:
+                del above_cols[j][b]
+            above_rows[b] = {}
+        # cell a leaves degree n-1: its column in d[n-1]
+        if n:
+            below_rows, below_cols = rows[n - 1], cols[n - 1]
+            for i in below_cols[a]:
+                del below_rows[i][a]
+            below_cols[a] = {}
+        pairs[n] += 1
+    out = []
+    for n, cs in enumerate(cols):
+        live = [c for c in cs if c]
+        residual: tuple[int, ...] = ()
+        if live:
+            index = {i: r for r, i in enumerate(sorted({i for c in live for i in c}))}
+            residual = invariant_factors(
+                SparseIntMatrix.from_columns(
+                    len(index), [{index[i]: v for i, v in c.items()} for c in live]
+                )
+            )
+        out.append((1,) * pairs[n] + residual)
+    return out
 
 
 def _smith(

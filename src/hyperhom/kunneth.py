@@ -32,7 +32,7 @@ from .homology import (
     inf_bases_of_span,
 )
 from .hypergraph import Hypergraph, SimplicialComplex, lattice_paths, product_boxtimes
-from .intlinalg import LatticeSolver, SparseIntMatrix, column_hnf
+from .intlinalg import SparseIntMatrix, column_hnf
 
 SimplexPair = tuple[tuple[int, ...], tuple[int, ...]]
 
@@ -349,18 +349,19 @@ def _in_bases(
 ) -> list[SparseIntMatrix]:
     """A chain map written in two infimum bases, one matrix per degree:
     column j of entry n holds the target-basis coefficients of the image
-    of source basis column j. ``chain_map`` runs once per column. An
-    image off the target coordinates or outside its lattice raises
+    of source basis column j. ``chain_map`` runs once per column, and
+    each image is solved with the target's own solver for its degree,
+    the one its restricted boundaries use. An image off the target
+    coordinates or outside its lattice raises
     IntegrityError, worded with ``names``: the map, source and target."""
     what, source_name, target_name = names
     out = []
     for n, basis in enumerate(source.bases):
-        solver = LatticeSolver(target.bases[n])
         cols = []
         for j in range(basis.ncols):
             x = source.coordinates.from_vector(n, basis.column(j))
             vec = target.coordinates.to_vector(chain_map(x, ctx))
-            coeffs = None if vec is None else solver.solve(vec)
+            coeffs = None if vec is None else target.solver(n).solve(vec)
             if coeffs is None:
                 raise IntegrityError(
                     f"{what} image of {source_name} basis column {j} "

@@ -1,12 +1,15 @@
 """Independent routes kept as test oracles.
 
-Homology: the library reads each homology group off the invariant
-factors of the boundary matrices. This module takes the longer way that
-it replaced: a saturated kernel basis of each boundary (the cycles), the
-boundaries from one degree up written in that cycle basis by lattice
-solves, and the cokernel of that relation matrix. Both routes start from
-the same boundary matrices and end in a Smith normal form; in between
-they share no code.
+Homology: the library reduces the whole chain complex by its unit
+pairs and takes the Smith normal form of the small residual only. Two
+routes it replaced live on here. :func:`oracle_factor_homology` takes
+one Smith normal form of each boundary matrix as it stands.
+:func:`oracle_chain_homology` takes the longer way: a saturated kernel
+basis of each boundary (the cycles), the boundaries from one degree up
+written in that cycle basis by lattice solves, and the cokernel of that
+relation matrix. All three start from the same boundary matrices and
+end in a Smith normal form (the library's on the unit-free residual
+only); in between, the reduction shares no code with either oracle.
 
 Coordinates: the library builds the infimum and supremum on facet
 coordinates (n-hyperedges and facets of (n+1)-hyperedges). The oracles
@@ -57,6 +60,7 @@ from hyperhom.kunneth import ChainMapReport, SimplexPair, TensorChain, TensorCon
 from hyperhom.intlinalg import (
     LatticeSolver,
     SparseIntMatrix,
+    invariant_factors,
     kernel_basis,
     lattice_sum_basis,
 )
@@ -93,6 +97,22 @@ def oracle_regroup(torsion: list[int]) -> tuple[int, ...]:
         for slot, e in enumerate(es):
             factors[width - 1 - slot] *= p**e
     return tuple(factors)
+
+
+def oracle_factor_homology(d: list[SparseIntMatrix]) -> list[FGAbelianGroup]:
+    """Integral homology of the chain complex with boundaries ``d``, one
+    group per degree 0..len(d)-1, from the invariant factors of each
+    matrix: H_n = Z^(b_n - r_n - r_{n+1}) plus Z/t for each factor t >= 2
+    of d[n+1]."""
+    factors = [invariant_factors(m) for m in d]
+    factors.append(())
+    return [
+        FGAbelianGroup(
+            m.ncols - len(factors[n]) - len(factors[n + 1]),
+            tuple(t for t in factors[n + 1] if t >= 2),
+        )
+        for n, m in enumerate(d)
+    ]
 
 
 def oracle_chain_homology(d: list[SparseIntMatrix]) -> list[FGAbelianGroup]:

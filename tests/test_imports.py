@@ -1,4 +1,5 @@
-"""Every name a library module imports is used in that module.
+"""Every name a library module or the test oracles module imports is
+used in that module.
 
 The package ``__init__`` is exempt: it imports names to re-export them.
 A name counts as used when it is read anywhere in the module, including
@@ -16,7 +17,7 @@ import hyperhom
 
 MODULES = sorted(
     p for p in Path(hyperhom.__file__).parent.glob("*.py") if p.name != "__init__.py"
-)
+) + [Path(__file__).parent / "homology_oracle.py"]
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:

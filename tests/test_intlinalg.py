@@ -15,6 +15,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, strategies as st
 
+import hyperhom.intlinalg as intlinalg
 from hyperhom.examples import projective_plane
 from hyperhom.hypergraph import product_boxtimes
 from hyperhom.intlinalg import (
@@ -23,6 +24,7 @@ from hyperhom.intlinalg import (
     _dict_addmul,
     _dict_scale,
     _Echelon,
+    chain_invariant_factors,
     column_hnf,
     determinant,
     hstack,
@@ -132,6 +134,39 @@ def test_is_prime_small():
     primes = {2, 3, 5, 7, 11, 13, 17, 19, 23}
     for n in range(-3, 25):
         assert is_prime(n) == (n in primes)
+
+
+@given(st.integers(-10, 2**40))
+@example(2147483647)
+@example(2147483647 * 2147483629)
+def test_is_prime_matches_sympy(n):
+    sympy = pytest.importorskip("sympy")
+    assert is_prime(n) == sympy.isprime(n)
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        # the least strong pseudoprimes to the first 1, 2, 3, 4, 9 and 12
+        # prime bases
+        2047,
+        1373653,
+        25326001,
+        3215031751,
+        3825123056546413051,
+        318665857834031151167461,
+        561,  # a Carmichael number
+    ],
+)
+def test_is_prime_refuses_strong_pseudoprimes(n):
+    assert not is_prime(n)
+
+
+def test_is_prime_refuses_to_decide_beyond_its_bound():
+    assert is_prime(2**61 - 1)
+    # the least strong pseudoprime to the first 13 prime bases
+    with pytest.raises(ValueError, match="not decided"):
+        is_prime(3317044064679887385961981)
 
 
 def test_matrix_construction_and_equality():
@@ -245,6 +280,99 @@ def test_snf_matches_sympy_on_random_instances():
                 theirs.append(abs(v))
         # invariant factors are unique, so the multisets must agree
         assert sorted(ours) == sorted(theirs), (rows, ours, theirs)
+
+
+# ------------------------------------------------- reduced chain complexes
+
+
+def _dense_product(a: list[list[int]], b: list[list[int]], inner: int) -> list[list[int]]:
+    cols = len(b[0]) if b else 0
+    return [[sum(r[k] * b[k][j] for k in range(inner)) for j in range(cols)] for r in a]
+
+
+@st.composite
+def unimodular_pairs(draw, n: int):
+    """(U, U^-1) as dense n x n lists, from elementary moves: adding c
+    times row j of U to row i takes c times column i of U^-1 away from
+    its column j."""
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    w = [row[:] for row in u]
+    if n < 2:
+        return u, w
+    moves = draw(
+        st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(-2, 2)),
+            max_size=3 * n,
+        )
+    )
+    for i, j, c in moves:
+        if i != j:
+            u[i] = [x + c * y for x, y in zip(u[i], u[j])]
+            for row in w:
+                row[j] -= c * row[i]
+    return u, w
+
+
+@st.composite
+def conjugated_complexes(draw, max_top=3, max_cells=5):
+    """An integral chain complex with its torsion in disguise. First a
+    diagonal complex: each cell maps to t times a cycle of its own one
+    degree down, t among +-1, 2, 3, 4, 6. Then every degree is conjugated
+    by a unimodular matrix, so d[n] becomes U[n-1] d[n] U[n]^-1."""
+    top = draw(st.integers(1, max_top))
+    sizes = [draw(st.integers(0, max_cells)) for _ in range(top + 1)]
+    pairs = [draw(unimodular_pairs(k)) for k in sizes]
+    d = [SparseIntMatrix(0, sizes[0])]
+    sources: set[int] = set()  # cells of the degree below with a nonzero boundary
+    for n in range(1, top + 1):
+        cycles = [i for i in range(sizes[n - 1]) if i not in sources]
+        diag = [[0] * sizes[n] for _ in range(sizes[n - 1])]
+        sources = set()
+        for j in range(sizes[n]):
+            if cycles and draw(st.booleans()):
+                i = cycles.pop(draw(st.integers(0, len(cycles) - 1)))
+                diag[i][j] = draw(st.sampled_from([1, -1, 2, 3, 4, 6]))
+                sources.add(j)
+        u_below, w_here = pairs[n - 1][0], pairs[n][1]
+        rows = _dense_product(_dense_product(u_below, diag, sizes[n - 1]), w_here, sizes[n])
+        d.append(SparseIntMatrix.from_rows(rows, sizes[n]))
+    return d
+
+
+@given(conjugated_complexes())
+@example(  # d[2] sends its one cell to twice a cycle, disguised
+    [
+        SparseIntMatrix(0, 2),
+        SparseIntMatrix.from_rows([[1, -1], [0, 0]]),
+        SparseIntMatrix.from_rows([[2], [2]]),
+    ]
+)
+def test_reduced_complex_keeps_every_invariant_factor(d):
+    for n in range(2, len(d)):
+        assert (d[n - 1] @ d[n]).is_zero()
+    with mock.patch.object(
+        intlinalg, "invariant_factors", wraps=intlinalg.invariant_factors
+    ) as residual:
+        got = chain_invariant_factors(d)
+    assert got == [invariant_factors(m) for m in d]
+    # every unit pair is gone before the Smith form of the residual
+    for (m,), _ in residual.call_args_list:
+        assert all(abs(v) != 1 for _, _, v in m.iter_entries())
+
+
+def test_only_the_torsion_of_rp2_takes_a_smith_form(spy):
+    k = projective_plane()
+    d = list(k.coordinates.boundaries)
+    residuals = spy(intlinalg, "invariant_factors")
+    assert chain_invariant_factors(d) == [invariant_factors(m) for m in d]
+    # the 2-torsion of H_1 is all that is left: one 1x1 residual, +-2
+    assert [args[0].to_rows() in ([[2]], [[-2]]) for args, _ in residuals] == [True]
+
+
+def test_reduced_complex_of_empty_degrees():
+    assert chain_invariant_factors([]) == []
+    d = [SparseIntMatrix(0, 0), SparseIntMatrix(0, 3), SparseIntMatrix(3, 0)]
+    assert chain_invariant_factors(d) == [(), (), ()]
 
 
 # ------------------------------------------------------------------ rank
