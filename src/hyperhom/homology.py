@@ -316,7 +316,9 @@ class GradedSubmodule:
     coordinates, and any rows past them are overflow rows for faces
     outside those coordinates. The submodule is expected to be
     boundary-stable (checked when homology is computed). Bases need not
-    be saturated.
+    be saturated, but each must be in echelon form: its columns have
+    distinct leading (smallest nonzero) rows, as a :func:`column_hnf`
+    has, so that :class:`LatticeSolver` can solve against it.
     """
 
     coordinates: Coordinates
@@ -333,11 +335,6 @@ class GradedSubmodule:
     def top_degree(self) -> int:
         return len(self.bases) - 1
 
-    @property
-    def boundaries(self) -> tuple[SparseIntMatrix, ...]:
-        """The ambient boundary matrices, one per degree."""
-        return self.coordinates.boundaries
-
     def basis_rank(self, n: int) -> int:
         return self.bases[n].ncols if 0 <= n <= self.top_degree else 0
 
@@ -350,15 +347,21 @@ class GradedSubmodule:
         return {}
 
     def solver(self, n: int) -> LatticeSolver:
-        """The :class:`LatticeSolver` of the degree-n basis, built once."""
+        """The :class:`LatticeSolver` of the degree-n basis, built once;
+        n must lie in 0..top_degree."""
+        if not 0 <= n <= self.top_degree:
+            raise ValueError(f"degree {n} outside 0..{self.top_degree}")
         if n not in self._solvers:
             self._solvers[n] = LatticeSolver(self.bases[n])
         return self._solvers[n]
 
     @cached_property
     def restricted(self) -> list[SparseIntMatrix]:
-        """The restricted boundaries, see :func:`restricted_boundaries`."""
-        return restricted_boundaries(self)
+        """The restricted boundaries, see :func:`restricted_boundaries`,
+        checked once here to compose to zero."""
+        d = restricted_boundaries(self)
+        _require_chain_complex(d)
+        return d
 
     @cached_property
     def _homology(self) -> dict[Coefficient, list]:
@@ -372,39 +375,50 @@ class GradedSubmodule:
         return list(self._homology[coeff])
 
 
-def restricted_boundaries(m: GradedSubmodule) -> list[SparseIntMatrix]:
-    """Boundary matrices in the submodule's own basis coordinates.
-
-    Entry n maps degree-n basis coefficients to degree-(n-1) basis
-    coefficients. Raises IntegrityError if some boundary image leaves
-    the submodule, i.e. the chain-complex property fails; an image with
-    an entry in an overflow row (a face outside the coordinates below)
-    leaves it too.
-    """
-    out: list[SparseIntMatrix] = []
-    for n in range(m.top_degree + 1):
-        basis = m.bases[n]
-        rows_below = m.bases[n - 1].nrows if n else 0
-        overflow = m.boundaries[n].nrows > rows_below
+def map_in_bases(
+    source: GradedSubmodule, target: GradedSubmodule, image, shift: int, refusals: tuple[str, str]
+) -> list[SparseIntMatrix]:
+    """A graded map in two bases: column j of entry n holds the
+    degree-(n+shift) target-basis coefficients of the image of source
+    basis column j. ``image(n, column)`` gives the image's target
+    coordinates, or None off them; a zero image is not solved. An image
+    off the coordinates or outside the target lattice raises
+    IntegrityError with ``refusals[0]`` or ``refusals[1]``, formatted
+    with n, j and k = n + shift."""
+    out = []
+    for n, basis in enumerate(source.bases):
+        k = n + shift
         cols = []
         for j in range(basis.ncols):
-            if n == 0:
-                cols.append({})
-                continue
-            img = m.boundaries[n].apply_to_column(basis.column(j))
-            if overflow and img and max(img) >= rows_below:
-                raise IntegrityError(
-                    f"boundary of degree-{n} basis column {j} has a face "
-                    f"outside the degree-{n - 1} coordinates"
-                )
-            coeffs = m.solver(n - 1).solve(img)
+            vec = image(n, basis.column(j))
+            if vec is None:
+                raise IntegrityError(refusals[0].format(n=n, j=j, k=k))
+            coeffs = target.solver(k).solve(vec) if vec else {}
             if coeffs is None:
-                raise IntegrityError(
-                    f"boundary of degree-{n} basis column {j} leaves the submodule"
-                )
+                raise IntegrityError(refusals[1].format(n=n, j=j, k=k))
             cols.append(coeffs)
-        out.append(SparseIntMatrix.from_columns(m.basis_rank(n - 1), cols))
+        out.append(SparseIntMatrix.from_columns(target.basis_rank(k), cols))
     return out
+
+
+def restricted_boundaries(m: GradedSubmodule) -> list[SparseIntMatrix]:
+    """Boundary matrices in the submodule's own basis coordinates:
+    :func:`map_in_bases` applied to the boundary, so entry n maps degree-n
+    to degree-(n-1) basis coefficients. Raises IntegrityError if some
+    boundary image leaves the submodule, i.e. the chain-complex property
+    fails; an image with an entry in an overflow row (a face outside the
+    coordinates below) leaves it too.
+    """
+    c = m.coordinates
+
+    def boundary(n: int, column: dict[int, int]) -> dict[int, int] | None:
+        img = c.boundaries[n].apply_to_column(column)
+        return None if img and max(img) >= len(c.simplices_of_dim(n - 1)) else img
+
+    return map_in_bases(m, m, boundary, -1, (
+        "boundary of degree-{n} basis column {j} has a face outside the degree-{k} coordinates",
+        "boundary of degree-{n} basis column {j} leaves the submodule",
+    ))
 
 
 def submodule_homology(
@@ -420,6 +434,14 @@ def submodule_homology(
     return _chain_homology(m.restricted, coeff)
 
 
+def _require_chain_complex(d: Sequence[SparseIntMatrix]) -> None:
+    """Raise IntegrityError unless every d[n-1] @ d[n] vanishes; run once
+    per complex, not once per coefficient ring."""
+    for n in range(2, len(d)):
+        if not (d[n - 1] @ d[n]).is_zero():
+            raise IntegrityError(f"degree-{n} boundary image is not a degree-{n - 1} cycle")
+
+
 def _chain_homology(
     d: Sequence[SparseIntMatrix], coeff: Coefficient
 ) -> list[FGAbelianGroup] | list[int]:
@@ -429,18 +451,13 @@ def _chain_homology(
     With b_n = d[n].ncols and r_n the rank of d[n]:
     H_n = Z^(b_n - r_n - r_{n+1}) + sum of Z/t over the invariant factors
     t >= 2 of d[n+1]; over a field, Betti_n = b_n - r_n - r_{n+1} with
-    field ranks. This holds only for a chain complex, so the composites
-    d[n-1] @ d[n] are checked to vanish first. Over the integers the
-    whole complex is reduced by its unit pairs and the residual of each
-    degree takes a Smith normal form (:func:`chain_invariant_factors`,
-    which needs d[n-1] @ d[n] = 0 to drop rows exactly). Field ranks
-    read the matrices ``d`` themselves, never the reduced complex.
+    field ranks. This holds only for a chain complex: callers pass ``d``
+    through :func:`_require_chain_complex`. Over the integers the whole
+    complex is reduced by its unit pairs and the residual of each degree
+    takes a Smith normal form (:func:`chain_invariant_factors`, which
+    needs d[n-1] @ d[n] = 0 to drop rows exactly). Field ranks read the
+    matrices ``d`` themselves, never the reduced complex.
     """
-    for n in range(2, len(d)):
-        if not (d[n - 1] @ d[n]).is_zero():
-            raise IntegrityError(
-                f"degree-{n} boundary image is not a degree-{n - 1} cycle"
-            )
     if coeff.is_field:
         if coeff.kind == "q":
             ranks = [rank(dd) for dd in d]
@@ -575,6 +592,7 @@ def classical_homology(
     no submodule machinery. Used to cross-check the embedded pipeline
     on closed inputs.
     """
+    _require_chain_complex(k.coordinates.boundaries)
     return _chain_homology(k.coordinates.boundaries, coeff)
 
 

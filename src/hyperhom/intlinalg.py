@@ -6,10 +6,11 @@ kernels, and lattice sums. No floating point and no
 machine-word arithmetic anywhere: entry growth during elimination is
 expected and must stay exact.
 
-The lattice operations all reduce to one engine, ``_Echelon``: an
-integer row-echelon store fed with the columns of a matrix. Canonical
+The lattice bases all come from one engine, ``_Echelon``: an integer
+row-echelon store fed with the columns of a matrix. Canonical
 (column-style Hermite) bases make lattice equality a plain matrix
-equality, which the rest of the package leans on for determinism.
+equality, which the package leans on for determinism; :class:`LatticeSolver`
+solves against them by forward substitution.
 """
 
 from __future__ import annotations
@@ -251,22 +252,6 @@ class _Echelon:
                 g, x, y = xgcd(a, b)
                 self.rows[j], vec = _combine(row, vec, x, y, -(b // g), a // g)
 
-    def reduce(self, vec: dict[int, int]) -> dict[int, int]:
-        """Reduce vec against the store without inserting.
-
-        Returns the residue; an empty residue means vec lies in the
-        span. A nonzero residue is returned as soon as reduction blocks
-        (missing pivot or non-divisible leading entry), which for an
-        echelon basis decides membership exactly.
-        """
-        while vec:
-            j = min(vec)
-            row = self.rows.get(j)
-            if row is None or vec[j] % row[j]:
-                return vec
-            _dict_addmul(vec, row, -(vec[j] // row[j]))
-        return vec
-
     def canonicalize(self) -> list[tuple[int, dict[int, int]]]:
         """Hermite-canonical form: positive pivots, entries above each
         pivot reduced into [0, pivot). Returns (pivot, row) sorted by pivot.
@@ -346,45 +331,52 @@ def kernel_basis(a: SparseIntMatrix) -> SparseIntMatrix:
 
 
 class LatticeSolver:
-    """Prepared form of a fixed independent basis for repeated solves.
+    """Repeated solves against a fixed basis in echelon form.
 
-    Answers "express v as an integer combination of the basis columns"
-    without re-echelonizing per query.
+    The leading row of a column is its smallest nonzero row. The basis
+    columns must have distinct leading rows, as every :func:`column_hnf`
+    and :func:`kernel_basis` result has; such columns are independent,
+    and a solve is a forward substitution on the leading rows.
     """
 
-    __slots__ = ("nrows", "_ech")
+    __slots__ = ("nrows", "_lead")
 
     def __init__(self, basis: SparseIntMatrix) -> None:
         self.nrows = basis.nrows
-        self._ech = _Echelon()
-        for j in range(basis.ncols):
-            vec = dict(basis._cols[j])
-            vec[basis.nrows + j] = 1
-            self._ech.insert(vec)
-        mains = sum(1 for p in self._ech.rows if p < basis.nrows)
-        if mains != basis.ncols:
-            raise ValueError("basis columns are linearly dependent")
+        # leading row -> (column index, column)
+        self._lead: dict[int, tuple[int, dict[int, int]]] = {}
+        for j, col in enumerate(basis._cols):
+            if not col:
+                raise ValueError(f"basis column {j} is zero")
+            i = min(col)
+            if i in self._lead:
+                raise ValueError(f"basis columns {self._lead[i][0]} and {j} share leading row {i}")
+            self._lead[i] = (j, col)
 
-    def solve(self, v: Mapping[int, int] | Sequence[int]) -> dict[int, int] | None:
+    def solve(self, v: Mapping[int, int]) -> dict[int, int] | None:
         """The nonzero coefficients c_j with basis @ c = v, as a dict, or
-        None if v is outside the lattice."""
-        residue = self._ech.reduce(self._to_dict(v))
-        if any(j < self.nrows for j in residue):
-            return None
-        return {j - self.nrows: -val for j, val in residue.items()}
+        None if v is outside the lattice. Each step divides the smallest
+        entry left in v by the column that leads there, and subtracts."""
+        for i in v:
+            if not 0 <= i < self.nrows:
+                raise ValueError(f"coordinate {i} outside 0..{self.nrows - 1}")
+        vec = {i: val for i, val in v.items() if val}
+        out = {}
+        while vec:
+            i = min(vec)
+            hit = self._lead.get(i)
+            if hit is None:
+                return None
+            j, col = hit
+            q, r = divmod(vec[i], col[i])
+            if r:
+                return None
+            out[j] = q
+            _dict_addmul(vec, col, -q)
+        return out
 
-    def contains(self, v: Mapping[int, int] | Sequence[int]) -> bool:
+    def contains(self, v: Mapping[int, int]) -> bool:
         return self.solve(v) is not None
-
-    def _to_dict(self, v: Mapping[int, int] | Sequence[int]) -> dict[int, int]:
-        if isinstance(v, Mapping):
-            for i in v:
-                if not 0 <= i < self.nrows:
-                    raise ValueError(f"coordinate {i} outside 0..{self.nrows - 1}")
-            return {i: val for i, val in v.items() if val}
-        if len(v) != self.nrows:
-            raise ValueError("vector length does not match basis row count")
-        return {i: val for i, val in enumerate(v) if val}
 
 
 def lattice_sum_basis(a: SparseIntMatrix, b: SparseIntMatrix) -> SparseIntMatrix:

@@ -30,6 +30,7 @@ from .homology import (
     GradedSubmodule,
     embedded_homology,
     inf_bases_of_span,
+    map_in_bases,
 )
 from .hypergraph import Hypergraph, SimplicialComplex, lattice_paths, product_boxtimes
 from .intlinalg import SparseIntMatrix, column_hnf
@@ -344,34 +345,6 @@ def kunneth_check(
 field_kunneth_check = kunneth_check
 
 
-def _in_bases(
-    chain_map, ctx: TensorContext, source: GradedSubmodule, target: GradedSubmodule, names
-) -> list[SparseIntMatrix]:
-    """A chain map written in two infimum bases, one matrix per degree:
-    column j of entry n holds the target-basis coefficients of the image
-    of source basis column j. ``chain_map`` runs once per column, and
-    each image is solved with the target's own solver for its degree,
-    the one its restricted boundaries use. An image off the target
-    coordinates or outside its lattice raises
-    IntegrityError, worded with ``names``: the map, source and target."""
-    what, source_name, target_name = names
-    out = []
-    for n, basis in enumerate(source.bases):
-        cols = []
-        for j in range(basis.ncols):
-            x = source.coordinates.from_vector(n, basis.column(j))
-            vec = target.coordinates.to_vector(chain_map(x, ctx))
-            coeffs = None if vec is None else target.solver(n).solve(vec)
-            if coeffs is None:
-                raise IntegrityError(
-                    f"{what} image of {source_name} basis column {j} "
-                    f"(degree {n}) is outside the {target_name} infimum"
-                )
-            cols.append(coeffs)
-        out.append(SparseIntMatrix.from_columns(target.basis_rank(n), cols))
-    return out
-
-
 def _require_equal(got: SparseIntMatrix, want: SparseIntMatrix, n: int, what: str) -> None:
     """Raise IntegrityError naming the first column where two degree-n
     matrices differ."""
@@ -386,24 +359,36 @@ def restricted_chainmap_check(
     """Verify the chain-map identities on the infimum bases.
 
     The shuffle map becomes matrices EZ[n] from the tensor to the product
-    infimum basis, the front/back-face map AW[n] back; an image outside
-    the other infimum raises. With dT, dP the restricted boundaries, each
-    degree checks dP[n] EZ[n] = EZ[n-1] dT[n], dT[n] AW[n] = AW[n-1] dP[n]
-    and AW[n] EZ[n] = 1, which hold exactly when the chain identities hold
-    on each basis chain (solves are exact, basis columns independent). A
-    failure raises IntegrityError naming the first offending column. With
-    ``verify`` the tensor infimum is also recomputed directly, see
-    :func:`inf_tensor_basis`.
+    infimum basis, the front/back-face map AW[n] back, both written by
+    :func:`~hyperhom.homology.map_in_bases` as the restricted boundaries
+    are; an image outside the other infimum raises. With dT, dP the
+    restricted boundaries, each degree checks dP[n] EZ[n] = EZ[n-1] dT[n],
+    dT[n] AW[n] = AW[n-1] dP[n] and AW[n] EZ[n] = 1, which hold exactly
+    when the chain identities hold on each basis chain (solves are exact,
+    basis columns independent). A failure raises IntegrityError naming
+    the first offending column. With ``verify`` the tensor infimum is
+    also recomputed directly, see :func:`inf_tensor_basis`.
     """
     tensor_inf = inf_tensor_basis(h, h2, verify=verify)
     ctx = tensor_inf.coordinates
     product_inf = product_boxtimes(h, h2).inf
-    ez = _in_bases(
-        ez_map, ctx, tensor_inf, product_inf, ("shuffle", "tensor", "product")
-    )
-    aw = _in_bases(
-        aw_map, ctx, product_inf, tensor_inf, ("front/back-face", "product", "tensor")
-    )
+    coords = product_inf.coordinates
+
+    def shuffle(n: int, column: dict[int, int]) -> dict[int, int] | None:
+        return coords.to_vector(ez_map(ctx.from_vector(n, column), ctx))
+
+    def front_back(n: int, column: dict[int, int]) -> dict[int, int] | None:
+        return ctx.to_vector(aw_map(coords.from_vector(n, column), ctx))
+
+    # one wording refuses an image off the other side's coordinates and
+    # one outside its lattice
+    ez = map_in_bases(tensor_inf, product_inf, shuffle, 0, (
+        "shuffle image of tensor basis column {j} (degree {n}) is outside the product infimum",
+    ) * 2)
+    aw = map_in_bases(product_inf, tensor_inf, front_back, 0, (
+        "front/back-face image of product basis column {j} (degree {n}) "
+        "is outside the tensor infimum",
+    ) * 2)
     d_t, d_p = tensor_inf.restricted, product_inf.restricted
     for n in range(tensor_inf.top_degree + 1):
         if n:

@@ -27,6 +27,13 @@ divisibility chain by gcd/lcm swaps. :func:`oracle_regroup` factors each
 order into prime powers and deals them out per prime, as the library
 once did.
 
+Lattice solves: the library's bases are in echelon form, and
+``LatticeSolver`` solves against one by forward substitution on the
+columns' leading rows, refusing any other basis. :class:`OracleSolver`
+solves as the library once did: it echelonizes the basis columns with
+identity tails, so it takes any independent basis, and reads the
+coefficients off the tails. :func:`oracle_chain_homology` solves with it.
+
 Chain maps: the library writes the shuffle and front/back-face maps in
 the two infimum bases and checks the chain-map identities as matrix
 equalities. :func:`oracle_chainmap_check` checks them as the library
@@ -58,8 +65,9 @@ from hyperhom.hypergraph import (
 )
 from hyperhom.kunneth import ChainMapReport, SimplexPair, TensorChain, TensorContext
 from hyperhom.intlinalg import (
-    LatticeSolver,
     SparseIntMatrix,
+    _dict_addmul,
+    _Echelon,
     invariant_factors,
     kernel_basis,
     lattice_sum_basis,
@@ -115,6 +123,37 @@ def oracle_factor_homology(d: list[SparseIntMatrix]) -> list[FGAbelianGroup]:
     ]
 
 
+class OracleSolver:
+    """Solves against any basis of independent columns: the columns are
+    echelonized with an identity tail each, row nrows + j for column j,
+    and a vector reduced against the echelon rows leaves minus its
+    coefficients in the tails, or a residue above them when it is
+    outside the lattice."""
+
+    def __init__(self, basis: SparseIntMatrix) -> None:
+        self.nrows = basis.nrows
+        self._ech = _Echelon()
+        for j in range(basis.ncols):
+            vec = basis.column(j)
+            vec[basis.nrows + j] = 1
+            self._ech.insert(vec)
+        if sum(1 for p in self._ech.rows if p < basis.nrows) != basis.ncols:
+            raise ValueError("basis columns are linearly dependent")
+
+    def solve(self, v: dict[int, int]) -> dict[int, int] | None:
+        vec = {i: x for i, x in v.items() if x}
+        rows = self._ech.rows
+        while vec:
+            i = min(vec)
+            row = rows.get(i)
+            if row is None or vec[i] % row[i]:
+                break
+            _dict_addmul(vec, row, -(vec[i] // row[i]))
+        if any(i < self.nrows for i in vec):
+            return None
+        return {i - self.nrows: -x for i, x in vec.items()}
+
+
 def oracle_chain_homology(d: list[SparseIntMatrix]) -> list[FGAbelianGroup]:
     """Integral homology of the chain complex with boundaries ``d``, one
     group per degree 0..len(d)-1: cycles modulo boundaries, presented."""
@@ -128,7 +167,7 @@ def oracle_chain_homology(d: list[SparseIntMatrix]) -> list[FGAbelianGroup]:
         if n == top or d[n + 1].ncols == 0:
             groups.append(FGAbelianGroup(cycles.ncols))
             continue
-        solver = LatticeSolver(cycles)
+        solver = OracleSolver(cycles)
         rel_cols = []
         for j in range(d[n + 1].ncols):
             coeffs = solver.solve(d[n + 1].column(j))

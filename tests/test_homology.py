@@ -192,6 +192,14 @@ def test_inf_membership_for_edge_path():
     assert not m.contains(1, {e23: 1})
 
 
+def test_membership_outside_the_degrees_is_refused():
+    m = homology_demo_pair()[0].inf
+    # a negative degree must not index the bases from the end
+    for n in (-2, -1, m.top_degree + 1):
+        with pytest.raises(ValueError, match="outside 0.."):
+            m.contains(n, {})
+
+
 # ---------------------------------------------------------------- supremum
 
 
@@ -250,6 +258,21 @@ def test_face_outside_the_coordinates_is_refused():
         restricted_boundaries(m)
 
 
+def test_a_boundary_outside_the_lattice_is_refused():
+    # a closed segment: the boundary v1 - v0 of the edge lies in the
+    # degree-0 coordinates, but not in the span of v0 alone
+    c = parse_hypergraph("v0\nv1\nv0 v1\n").coordinates
+    assert c.simplices == (((0,), (1,)), ((0, 1),), ())
+    bases = (
+        SparseIntMatrix.from_columns(2, [{0: 1}]),
+        SparseIntMatrix.identity(1),
+        SparseIntMatrix(0, 0),
+    )
+    m = GradedSubmodule(c, bases)
+    with pytest.raises(IntegrityError, match="degree-1 basis column 0 leaves the submodule"):
+        restricted_boundaries(m)
+
+
 def _basis_chains(m, n):
     b = m.bases[n]
     return [m.coordinates.from_vector(n, b.column(j)) for j in range(b.ncols)]
@@ -287,7 +310,8 @@ def test_restricted_boundaries_compose_to_zero(h):
             assert (d[n] @ d[n + 1]).is_zero()
 
 
-def test_boundaries_that_do_not_compose_to_zero_are_refused(spy):
+@pytest.mark.parametrize("coeff", ALL_COEFFS, ids=str)
+def test_boundaries_that_do_not_compose_to_zero_are_refused(spy, coeff):
     # C_0 = Z, C_1 = Z^2, C_2 = Z with d_1 = [1 0] and d_2 = e_1, so
     # d_1 @ d_2 = 1 although d_1 has the nonzero cycle e_2. Full bases are
     # boundary-stable, so restricted_boundaries accepts the module.
@@ -308,8 +332,19 @@ def test_boundaries_that_do_not_compose_to_zero_are_refused(spy):
     # the reduction drops rows only because d @ d = 0: it is never reached
     reduced = spy(homology, "chain_invariant_factors")
     with pytest.raises(IntegrityError, match="is not a degree-1 cycle"):
-        submodule_homology(m, INTEGERS)
+        submodule_homology(m, coeff)
     assert reduced == []
+
+
+def test_each_composite_is_formed_once_for_all_rings(spy):
+    m = inf_chain(projective_plane())
+    products = spy(SparseIntMatrix, "__matmul__")
+    for coeff in ALL_COEFFS:
+        m.homology(coeff)
+    d = m.restricted
+    assert len(products) == len(d) - 2 == 2
+    for n, ((a, b), _) in enumerate(products, start=2):
+        assert a is d[n - 1] and b is d[n]
 
 
 # ------------------------------------------- reduced route and its oracle

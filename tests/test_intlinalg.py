@@ -16,6 +16,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import hyperhom.intlinalg as intlinalg
+from homology_oracle import OracleSolver
 from hyperhom.examples import projective_plane
 from hyperhom.hypergraph import product_boxtimes
 from hyperhom.intlinalg import (
@@ -470,15 +471,15 @@ def test_kernel_of_zero_rows():
 
 def test_express_in_basis_examples():
     solve = LatticeSolver(SparseIntMatrix.from_rows([[2, 0], [0, 1]])).solve
-    assert solve([2, 3]) == {0: 1, 1: 3}
-    assert solve([1, 0]) is None
-    assert solve([0, 0]) == {}
+    assert solve({0: 2, 1: 3}) == {0: 1, 1: 3}
+    assert solve({0: 1}) is None
+    assert solve({0: 0, 1: 0}) == {}
     assert solve({1: 5}) == {1: 5}
     with pytest.raises(ValueError):
-        solve([1, 2, 3])
+        solve({2: 3})
     dependent = SparseIntMatrix.from_rows([[1, 2], [1, 2]])
     with pytest.raises(ValueError):
-        LatticeSolver(dependent).solve([0, 0])
+        LatticeSolver(dependent)
 
 
 @given(int_matrices(max_dim=3), st.lists(st.integers(-4, 4), min_size=3, max_size=3))
@@ -487,7 +488,7 @@ def test_express_round_trip(a, coeffs):
     if basis.ncols == 0:
         return
     cs = coeffs[: basis.ncols]
-    vec = [0] * basis.nrows
+    vec = {i: 0 for i in range(basis.nrows)}
     for j, c in enumerate(cs):
         for i in range(basis.nrows):
             vec[i] += c * basis.entry(i, j)
@@ -497,13 +498,44 @@ def test_express_round_trip(a, coeffs):
 def test_lattice_solver_reuse():
     basis = SparseIntMatrix.from_rows([[3, 0], [0, 2]])
     solver = LatticeSolver(basis)
-    assert solver.solve([3, 2]) == {0: 1, 1: 1}
-    assert solver.solve([1, 1]) is None
+    assert solver.solve({0: 3, 1: 2}) == {0: 1, 1: 1}
+    assert solver.solve({0: 1, 1: 1}) is None
     assert solver.solve({0: 3}) == {0: 1}
     assert solver.solve({1: 1}) is None
-    assert solver.solve([0, 0]) == {} and solver.solve({}) == {}
-    assert solver.contains([6, -4])
-    assert not solver.contains([2, 2])
+    assert solver.solve({0: 0, 1: 0}) == {} and solver.solve({}) == {}
+    assert solver.contains({0: 6, 1: -4})
+    assert not solver.contains({0: 2, 1: 2})
+
+
+def test_a_basis_not_in_echelon_form_is_refused_and_the_oracle_solves_it():
+    # both columns lead in row 0: independent, but not in echelon form
+    basis = SparseIntMatrix.from_rows([[1, 1], [0, 1]])
+    with pytest.raises(ValueError, match="share leading row 0"):
+        LatticeSolver(basis)
+    assert OracleSolver(basis).solve({0: 2, 1: 1}) == {0: 1, 1: 1}
+    with pytest.raises(ValueError, match="is zero"):
+        LatticeSolver(SparseIntMatrix.from_rows([[1, 0], [0, 0]]))
+
+
+@given(
+    int_matrices(max_dim=5),
+    st.booleans(),
+    st.lists(st.integers(-4, 4), min_size=5, max_size=5),
+    st.dictionaries(st.integers(0, 4), st.integers(-3, 3), max_size=2),
+)
+def test_forward_substitution_matches_the_echelon_oracle(a, kernel, coeffs, noise):
+    # bases as the library makes them; v = basis @ coeffs lies in the
+    # lattice, and v plus noise mostly does not
+    basis = kernel_basis(a) if kernel else column_hnf(a)
+    solver, oracle = LatticeSolver(basis), OracleSolver(basis)
+    inside: dict[int, int] = {}
+    for j, c in enumerate(coeffs[: basis.ncols]):
+        _dict_addmul(inside, basis.column(j), c)
+    outside = dict(inside)
+    _dict_addmul(outside, {i: v for i, v in noise.items() if i < basis.nrows}, 1)
+    assert solver.solve(inside) == oracle.solve(inside)
+    assert solver.solve(inside) == {j: c for j, c in enumerate(coeffs[: basis.ncols]) if c}
+    assert solver.solve(outside) == oracle.solve(outside)
 
 
 # -------------------------------------------------------------- lattices
@@ -536,7 +568,7 @@ def test_lattice_ops_against_brute_force():
     pb = brute_force_lattice_points(b, 8)
     solver = LatticeSolver(lattice_sum_basis(a, b))
     for p in itertools.islice(sorted(pa | pb), 0, 40):
-        assert solver.solve(list(p)) is not None
+        assert solver.solve(dict(enumerate(p))) is not None
 
 
 @given(int_matrices(max_dim=3), int_matrices(max_dim=3))
