@@ -384,20 +384,33 @@ def map_in_bases(
     coordinates, or None off them; a zero image is not solved. An image
     off the coordinates or outside the target lattice raises
     IntegrityError with ``refusals[0]`` or ``refusals[1]``, formatted
-    with n, j and k = n + shift."""
+    with n, j and k = n + shift.
+
+    ``image`` reads the basis column itself and must not change it. Each
+    degree is one pass: the target solver is fetched on the first nonzero
+    image, and the solved columns, in range and nonzero by construction,
+    become the matrix as they are."""
     out = []
     for n, basis in enumerate(source.bases):
         k = n + shift
-        cols = []
-        for j in range(basis.ncols):
-            vec = image(n, basis.column(j))
+        solver = None
+        cols: list[dict[int, int]] = []
+        for j, column in enumerate(basis._cols):
+            vec = image(n, column)
             if vec is None:
                 raise IntegrityError(refusals[0].format(n=n, j=j, k=k))
-            coeffs = target.solver(k).solve(vec) if vec else {}
+            if not vec:
+                cols.append({})
+                continue
+            if solver is None:
+                solver = target.solver(k)
+            coeffs = solver.solve(vec)
             if coeffs is None:
                 raise IntegrityError(refusals[1].format(n=n, j=j, k=k))
             cols.append(coeffs)
-        out.append(SparseIntMatrix.from_columns(target.basis_rank(k), cols))
+        m = SparseIntMatrix(target.basis_rank(k), len(cols))
+        m._cols = cols
+        out.append(m)
     return out
 
 

@@ -337,46 +337,69 @@ class LatticeSolver:
     columns must have distinct leading rows, as every :func:`column_hnf`
     and :func:`kernel_basis` result has; such columns are independent,
     and a solve is a forward substitution on the leading rows.
+
+    Row i is a private unit row when one column is exactly {i: +-1} and
+    no other column has an entry in row i. Its coefficient in a solve is
+    read straight off the vector. Every unit pivot of a canonical basis
+    is private, but the check is made, so any echelon basis stays exact.
     """
 
     __slots__ = ("nrows", "_lead")
 
     def __init__(self, basis: SparseIntMatrix) -> None:
         self.nrows = basis.nrows
-        # leading row -> (column index, column)
-        self._lead: dict[int, tuple[int, dict[int, int]]] = {}
+        # leading row -> (column index, column, unit): unit is the +-1 of
+        # a private unit row and 0 on every other row
+        lead: dict[int, tuple[int, dict[int, int], int]] = {}
+        units: list[int] = []  # rows of the unit columns
+        touched: set[int] = set()  # rows of the other columns
         for j, col in enumerate(basis._cols):
             if not col:
                 raise ValueError(f"basis column {j} is zero")
             i = min(col)
-            if i in self._lead:
-                raise ValueError(f"basis columns {self._lead[i][0]} and {j} share leading row {i}")
-            self._lead[i] = (j, col)
+            if i in lead:
+                raise ValueError(f"basis columns {lead[i][0]} and {j} share leading row {i}")
+            if len(col) == 1 and col[i] in (1, -1):
+                lead[i] = (j, col, col[i])
+                units.append(i)
+            else:
+                lead[i] = (j, col, 0)
+                touched.update(col)
+        for i in touched.intersection(units):
+            j, col, _ = lead[i]
+            lead[i] = (j, col, 0)
+        self._lead = lead
 
     def solve(self, v: Mapping[int, int]) -> dict[int, int] | None:
         """The nonzero coefficients c_j with basis @ c = v, as a dict, or
-        None if v is outside the lattice. Each step divides the smallest
-        entry left in v by the column that leads there, and subtracts."""
-        for i in v:
-            if not 0 <= i < self.nrows:
-                raise ValueError(f"coordinate {i} outside 0..{self.nrows - 1}")
-        vec = {i: val for i, val in v.items() if val}
+        None if v is outside the lattice. A private unit row gives its
+        coefficient at once, and no other column touches that row; on the
+        rest, each step divides the smallest entry left in v by the column
+        that leads there, and subtracts."""
+        nrows, lead = self.nrows, self._lead
+        vec = {}
         out = {}
+        for i, val in v.items():
+            if not 0 <= i < nrows:
+                raise ValueError(f"coordinate {i} outside 0..{nrows - 1}")
+            if val:
+                hit = lead.get(i)
+                if hit is not None and hit[2]:
+                    out[hit[0]] = val * hit[2]
+                else:
+                    vec[i] = val
         while vec:
             i = min(vec)
-            hit = self._lead.get(i)
+            hit = lead.get(i)
             if hit is None:
                 return None
-            j, col = hit
+            j, col, _ = hit
             q, r = divmod(vec[i], col[i])
             if r:
                 return None
             out[j] = q
             _dict_addmul(vec, col, -q)
         return out
-
-    def contains(self, v: Mapping[int, int]) -> bool:
-        return self.solve(v) is not None
 
 
 def lattice_sum_basis(a: SparseIntMatrix, b: SparseIntMatrix) -> SparseIntMatrix:

@@ -34,6 +34,12 @@ solves as the library once did: it echelonizes the basis columns with
 identity tails, so it takes any independent basis, and reads the
 coefficients off the tails. :func:`oracle_chain_homology` solves with it.
 
+Restricted boundaries: the library writes them with ``map_in_bases``,
+which solves each image with ``LatticeSolver``.
+:func:`oracle_restricted_boundaries` writes them from the oracle
+boundary matrices and solves with :class:`OracleSolver`, so
+:func:`oracle_submodule_homology` shares neither step with the library.
+
 Chain maps: the library writes the shuffle and front/back-face maps in
 the two infimum bases and checks the chain-map identities as matrix
 equalities. :func:`oracle_chainmap_check` checks them as the library
@@ -55,7 +61,6 @@ from hyperhom.homology import (
     boundary_matrix,
     chain_boundary,
     inf_bases_of_span,
-    restricted_boundaries,
 )
 from hyperhom.hypergraph import (
     Hypergraph,
@@ -181,9 +186,41 @@ def oracle_chain_homology(d: list[SparseIntMatrix]) -> list[FGAbelianGroup]:
     return groups
 
 
+def oracle_restricted_boundaries(m: GradedSubmodule) -> list[SparseIntMatrix]:
+    """The boundaries of ``m`` in its own basis, column by column: each
+    basis column goes through :func:`oracle_boundary_matrix` (or
+    :func:`oracle_tensor_boundary_matrix` on tensor coordinates), and
+    the image is solved one degree down with :class:`OracleSolver`. An
+    image with an overflow row, or outside the lattice, raises
+    IntegrityError."""
+    c = m.coordinates
+    out = []
+    for n, basis in enumerate(m.bases):
+        if isinstance(c, TensorContext):
+            d = oracle_tensor_boundary_matrix(c, n)
+        else:
+            d = oracle_boundary_matrix(c, n)
+        below = len(c.simplices_of_dim(n - 1))
+        solver = OracleSolver(m.bases[n - 1]) if n else None
+        cols = []
+        for j in range(basis.ncols):
+            image = d.apply_to_column(basis.column(j))
+            if not image:
+                cols.append({})
+                continue
+            coeffs = solver.solve(image) if max(image) < below else None
+            if coeffs is None:
+                raise IntegrityError(
+                    f"boundary of degree-{n} basis column {j} leaves the submodule"
+                )
+            cols.append(coeffs)
+        out.append(SparseIntMatrix.from_columns(m.basis_rank(n - 1), cols))
+    return out
+
+
 def oracle_submodule_homology(m: GradedSubmodule) -> list[FGAbelianGroup]:
     """Integral homology of a boundary-stable graded submodule."""
-    return oracle_chain_homology(restricted_boundaries(m))
+    return oracle_chain_homology(oracle_restricted_boundaries(m))
 
 
 def oracle_classical_homology(k: SimplicialComplex) -> list[FGAbelianGroup]:

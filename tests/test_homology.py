@@ -9,6 +9,7 @@ from homology_oracle import (
     oracle_classical_homology,
     oracle_factor_homology,
     oracle_inf_chain,
+    oracle_restricted_boundaries,
     oracle_submodule_homology,
     oracle_sup_chain,
     oracle_tensor_boundary,
@@ -273,6 +274,60 @@ def test_a_boundary_outside_the_lattice_is_refused():
         restricted_boundaries(m)
 
 
+@pytest.mark.parametrize(
+    "edges, bases, message",
+    [
+        (
+            # degree 0 is the span of v0 and v1 in the path v0-v1-v2-v3:
+            # {v0,v1} maps inside it, {v1,v2} and {v2,v3} do not
+            "v0\nv1\nv2\nv3\nv0 v1\nv1 v2\nv2 v3\n",
+            (
+                SparseIntMatrix.from_columns(4, [{0: 1}, {1: 1}]),
+                SparseIntMatrix.identity(3),
+                SparseIntMatrix(0, 0),
+            ),
+            "degree-1 basis column 1 leaves the submodule",
+        ),
+        (
+            # degree 0 is {v0} only; the cycle {0,1} + {1,2} - {0,2} has
+            # boundary zero, but {0,3} and {2,3} reach v3
+            "v0\nv0 v1 v2\nv0 v2 v3\n",
+            (
+                SparseIntMatrix.identity(1),
+                SparseIntMatrix.from_columns(5, [{0: 1, 1: -1, 3: 1}, {2: 1}, {4: 1}]),
+                SparseIntMatrix(2, 0),
+                SparseIntMatrix(0, 0),
+            ),
+            "degree-1 basis column 1 has a face outside the degree-0 coordinates",
+        ),
+    ],
+    ids=["outside-the-lattice", "outside-the-coordinates"],
+)
+def test_a_refusal_names_the_first_failing_column(edges, bases, message):
+    m = GradedSubmodule(parse_hypergraph(edges).coordinates, bases)
+    with pytest.raises(IntegrityError, match=message):
+        restricted_boundaries(m)
+
+
+def test_map_in_bases_fetches_each_target_degree_at_most_once(spy):
+    calls = spy(GradedSubmodule, "solver")
+    m = inf_chain(projective_plane())
+
+    def fetched():
+        got = [args[1] for args, _ in calls]
+        calls.clear()
+        return got
+
+    # degrees 0..3: degree 0 maps to zero and degree 3 has no columns, so
+    # only the targets of degrees 1 and 2 are fetched, once each
+    restricted_boundaries(m)
+    assert fetched() == [0, 1]
+    # the identity map with degree 1 sent to zero
+    refusals = ("off {n}", "outside {n}")
+    homology.map_in_bases(m, m, lambda n, col: {} if n == 1 else col, 0, refusals)
+    assert fetched() == [0, 2]
+
+
 def _basis_chains(m, n):
     b = m.bases[n]
     return [m.coordinates.from_vector(n, b.column(j)) for j in range(b.ncols)]
@@ -297,6 +352,15 @@ def test_facet_coordinates_match_the_closure_oracle(h):
 @given(sparse_wide_hypergraphs())
 def test_facet_coordinates_match_the_closure_oracle_on_wide_hyperedges(h):
     _assert_matches_closure_oracle(h)
+
+
+@settings(max_examples=30)
+@given(small_hypergraphs(), small_pairs())
+def test_restricted_boundaries_match_the_oracle(h, pair):
+    h1, h2 = pair
+    box = product_boxtimes(h1, h2)
+    for m in (h.inf, h.sup, box.inf, box.sup, inf_tensor_basis(h1, h2)):
+        assert restricted_boundaries(m) == oracle_restricted_boundaries(m)
 
 
 # ----------------------------------------------------- chain property, D@D

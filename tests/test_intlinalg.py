@@ -503,8 +503,8 @@ def test_lattice_solver_reuse():
     assert solver.solve({0: 3}) == {0: 1}
     assert solver.solve({1: 1}) is None
     assert solver.solve({0: 0, 1: 0}) == {} and solver.solve({}) == {}
-    assert solver.contains({0: 6, 1: -4})
-    assert not solver.contains({0: 2, 1: 2})
+    assert solver.solve({0: 6, 1: -4}) is not None
+    assert solver.solve({0: 2, 1: 2}) is None
 
 
 def test_a_basis_not_in_echelon_form_is_refused_and_the_oracle_solves_it():
@@ -517,16 +517,45 @@ def test_a_basis_not_in_echelon_form_is_refused_and_the_oracle_solves_it():
         LatticeSolver(SparseIntMatrix.from_rows([[1, 0], [0, 0]]))
 
 
+def test_a_unit_column_on_a_shared_row_is_not_read_off():
+    # column 1 is exactly {1: -1}, but column 0 also has an entry in row 1
+    basis = SparseIntMatrix.from_columns(3, [{0: 1, 1: 2}, {1: -1}, {2: 1}])
+    solver, oracle = LatticeSolver(basis), OracleSolver(basis)
+    for v in ({0: 1, 1: 5, 2: -3}, {1: 5}, {0: 3}, {0: 2, 1: 1, 2: 4}):
+        assert solver.solve(v) == oracle.solve(v)
+    assert solver.solve({0: 1, 1: 5, 2: -3}) == {0: 1, 1: -3, 2: -3}
+
+
 @given(
-    int_matrices(max_dim=5),
+    st.one_of(int_matrices(max_dim=5), int_matrices(max_dim=5, entries=st.integers(-1, 1))),
     st.booleans(),
+    st.lists(st.tuples(st.integers(0, 9), st.sampled_from([-2, -1, 1, 2])), max_size=3),
+    st.lists(st.integers(0, 4), max_size=2),
     st.lists(st.integers(-4, 4), min_size=5, max_size=5),
     st.dictionaries(st.integers(0, 4), st.integers(-3, 3), max_size=2),
 )
-def test_forward_substitution_matches_the_echelon_oracle(a, kernel, coeffs, noise):
-    # bases as the library makes them; v = basis @ coeffs lies in the
+def test_forward_substitution_matches_the_echelon_oracle(a, kernel, shears, flips, coeffs, noise):
+    # bases as the library makes them, then possibly no longer reduced:
+    # an earlier column gains f times a later unit column, which keeps
+    # the leading rows and the lattice but shares the unit's row, and
+    # flipped columns give -1 units. v = basis @ coeffs lies in the
     # lattice, and v plus noise mostly does not
-    basis = kernel_basis(a) if kernel else column_hnf(a)
+    canonical = kernel_basis(a) if kernel else column_hnf(a)
+    cols = [canonical.column(j) for j in range(canonical.ncols)]
+    pairs = [
+        (j, u)
+        for u, col in enumerate(cols)
+        if len(col) == 1 and set(col.values()) <= {1, -1}
+        for j in range(u)
+    ]
+    for pick, f in shears:
+        if pairs:
+            j, u = pairs[pick % len(pairs)]
+            _dict_addmul(cols[j], cols[u], f)
+    for j in flips:
+        if j < len(cols):
+            _dict_scale(cols[j], -1)
+    basis = SparseIntMatrix.from_columns(canonical.nrows, cols)
     solver, oracle = LatticeSolver(basis), OracleSolver(basis)
     inside: dict[int, int] = {}
     for j, c in enumerate(coeffs[: basis.ncols]):
@@ -580,7 +609,7 @@ def test_lattice_algebra_properties(a, b):
         sum_solver = LatticeSolver(s)
         for m in (a, b):
             for j in range(m.ncols):
-                assert sum_solver.contains(m.column(j))
+                assert sum_solver.solve(m.column(j)) is not None
 
 
 # ------------------------------------------------------------------- HNF
@@ -608,7 +637,7 @@ def test_column_hnf_spans_same_lattice(a):
         return
     solver = LatticeSolver(h)
     for j in range(a.ncols):
-        assert solver.contains(a.column(j))
+        assert solver.solve(a.column(j)) is not None
 
 
 def quadratic_canonicalize(ech: _Echelon) -> list[tuple[int, dict[int, int]]]:

@@ -1,7 +1,9 @@
 """The library builds a ``LatticeSolver`` in one place only,
 ``GradedSubmodule.solver``, so there is one solver per (submodule,
 degree): the restricted boundaries, the chain-map matrices and
-membership all solve with it.
+membership all solve with it. And it solves in two places only:
+``map_in_bases``, which writes every graded map in bases, and
+``GradedSubmodule.contains``.
 """
 
 from __future__ import annotations
@@ -12,9 +14,9 @@ from pathlib import Path
 import hyperhom
 
 
-def _solver_sites(path: Path) -> list[str]:
-    """The qualified name of the function around each ``LatticeSolver(``
-    call in one module, ``<module>`` at the top level."""
+def _sites(path: Path, hit) -> list[str]:
+    """The qualified name of the function around each node that ``hit``
+    accepts in one module, ``<module>`` at the top level."""
     sites = []
 
     def visit(node: ast.AST, scope: tuple[str, ...]) -> None:
@@ -22,22 +24,41 @@ def _solver_sites(path: Path) -> list[str]:
             if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, scope + (child.name,))
                 continue
-            if isinstance(child, ast.Call):
-                f = child.func
-                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
-                if name == "LatticeSolver":
-                    sites.append(".".join(scope) or "<module>")
+            if hit(child):
+                sites.append(".".join(scope) or "<module>")
             visit(child, scope)
 
     visit(ast.parse(path.read_text(), filename=str(path)), ())
     return sites
 
 
-def test_only_graded_submodule_solver_builds_a_lattice_solver() -> None:
+def _package_sites(hit) -> list[str]:
     package = Path(hyperhom.__file__).parent
-    sites = [
+    return [
         f"{path.name}:{site}"
         for path in sorted(package.glob("*.py"))
-        for site in _solver_sites(path)
+        for site in _sites(path, hit)
     ]
-    assert sites == ["homology.py:GradedSubmodule.solver"]
+
+
+def _builds_a_solver(node: ast.AST) -> bool:
+    if not isinstance(node, ast.Call):
+        return False
+    f = node.func
+    return (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) == "LatticeSolver"
+
+
+def _reads_solve(node: ast.AST) -> bool:
+    # an attribute read, so a bound ``solve`` kept for later counts too
+    return isinstance(node, ast.Attribute) and node.attr == "solve"
+
+
+def test_only_graded_submodule_solver_builds_a_lattice_solver() -> None:
+    assert _package_sites(_builds_a_solver) == ["homology.py:GradedSubmodule.solver"]
+
+
+def test_only_map_in_bases_and_membership_solve() -> None:
+    assert _package_sites(_reads_solve) == [
+        "homology.py:GradedSubmodule.contains",
+        "homology.py:map_in_bases",
+    ]
