@@ -45,7 +45,6 @@ from .intlinalg import (
     LatticeSolver,
     SparseIntMatrix,
     chain_invariant_factors,
-    column_hnf,
     is_prime,
     kernel_basis,
     lattice_sum_basis,
@@ -223,9 +222,7 @@ def boundary_matrix(k: Coordinates, n: int) -> SparseIntMatrix:
                 i = overflow.setdefault(f, len(pos) + len(overflow))
             col[i] = sign
         out.append(col)
-    m = SparseIntMatrix(len(pos) + len(overflow), len(cols))
-    m._cols = out
-    return m
+    return SparseIntMatrix._adopt(len(pos) + len(overflow), out)
 
 
 class Coordinates:
@@ -408,9 +405,7 @@ def map_in_bases(
             if coeffs is None:
                 raise IntegrityError(refusals[1].format(n=n, j=j, k=k))
             cols.append(coeffs)
-        m = SparseIntMatrix(target.basis_rank(k), len(cols))
-        m._cols = cols
-        out.append(m)
+        out.append(SparseIntMatrix._adopt(target.basis_rank(k), cols))
     return out
 
 
@@ -498,10 +493,10 @@ def inf_bases_of_span(
 ) -> tuple[SparseIntMatrix, ...]:
     """Largest boundary-stable graded submodule inside a coordinate span.
 
-    ``generators[n]`` lists the ambient coordinates spanned at degree n.
-    Degree n basis: kernel of (project away the degree n-1 generator
-    coordinates, then apply the boundary restricted to the generator
-    columns), embedded back into ambient coordinates, in canonical form.
+    ``generators[n]`` lists the ambient coordinates spanned at degree n,
+    strictly increasing. Degree n basis: kernel of (project away the
+    degree n-1 generator coordinates, then apply the boundary restricted
+    to the generator columns), embedded back into ambient coordinates.
     Works for any chain complex presented by its boundary matrices.
     """
     bases = []
@@ -518,13 +513,11 @@ def inf_bases_of_span(
             {row_index[i]: v for i, v in full._cols[p].items() if i in row_index}
             for p in positions
         ]
-        projected = SparseIntMatrix.from_columns(len(non_gen_rows), cols)
+        projected = SparseIntMatrix._adopt(len(non_gen_rows), cols)
         ker = kernel_basis(projected)  # coefficients on generator columns
-        basis_cols = [
-            {positions[i]: v for i, v in ker._cols[j].items()}
-            for j in range(ker.ncols)
-        ]
-        bases.append(column_hnf(SparseIntMatrix.from_columns(ambient, basis_cols)))
+        # no Hermite pass: the kernel basis is canonical and positions rise
+        basis_cols = [{positions[i]: v for i, v in c.items()} for c in ker._cols]
+        bases.append(SparseIntMatrix._adopt(ambient, basis_cols))
     return tuple(bases)
 
 
@@ -559,13 +552,13 @@ def sup_chain(h: Hypergraph) -> GradedSubmodule:
     bases = []
     for n in range(top + 1):
         ambient = len(c.simplices[n])
-        span = SparseIntMatrix.from_columns(
+        span = SparseIntMatrix._adopt(
             ambient, [{p: 1} for p in _hyperedge_positions(h, n)]
         )
         if n + 1 <= top:
             d_above = c.boundaries[n + 1]
-            image = SparseIntMatrix.from_columns(
-                ambient, [dict(d_above._cols[p]) for p in _hyperedge_positions(h, n + 1)]
+            image = SparseIntMatrix._adopt(
+                ambient, [d_above._cols[p] for p in _hyperedge_positions(h, n + 1)]
             )
         else:
             image = SparseIntMatrix(ambient, 0)

@@ -440,6 +440,8 @@ def random_hypergraph(
     """
     if n_vertices < 1:
         raise ValueError("need at least one vertex")
+    if max_dim < 0:
+        raise ValueError(f"max_dim must be non-negative, got {max_dim}")
     if not 0.0 <= density <= 1.0:
         raise ValueError("density must be within [0, 1]")
     rng = random.Random(seed)

@@ -143,6 +143,9 @@ class SparseIntMatrix:
 
     @classmethod
     def from_columns(cls, nrows: int, columns: Sequence[Mapping[int, int]]) -> "SparseIntMatrix":
+        """A matrix from sparse columns, for callers outside the library:
+        each column is copied, its zero entries are dropped, and every
+        row index is checked to lie in 0..nrows-1."""
         m = cls(nrows, len(columns))
         for j, col in enumerate(columns):
             for i, v in col.items():
@@ -150,6 +153,15 @@ class SparseIntMatrix:
                     raise ValueError(f"row index {i} outside 0..{nrows - 1}")
                 if v:
                     m._cols[j][i] = v
+        return m
+
+    @classmethod
+    def _adopt(cls, nrows: int, cols: list[dict[int, int]]) -> "SparseIntMatrix":
+        """A matrix that takes the library's own columns as they are: in
+        range, without zero entries, and never changed afterwards, so
+        matrices may share them. Nothing is copied or checked."""
+        m = cls.__new__(cls)
+        m.nrows, m.ncols, m._cols = nrows, len(cols), cols
         return m
 
     @classmethod
@@ -196,10 +208,9 @@ class SparseIntMatrix:
     def __matmul__(self, other: "SparseIntMatrix") -> "SparseIntMatrix":
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in matrix product")
-        prod = SparseIntMatrix(self.nrows, other.ncols)
-        for j in range(other.ncols):
-            prod._cols[j] = self.apply_to_column(other._cols[j])
-        return prod
+        return SparseIntMatrix._adopt(
+            self.nrows, [self.apply_to_column(c) for c in other._cols]
+        )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SparseIntMatrix):
@@ -214,13 +225,6 @@ class SparseIntMatrix:
 
     def __repr__(self) -> str:
         return f"SparseIntMatrix({self.nrows}x{self.ncols}, nnz={self.nnz})"
-
-
-def hstack(a: SparseIntMatrix, b: SparseIntMatrix) -> SparseIntMatrix:
-    """Concatenate columns; both matrices must have the same row count."""
-    if a.nrows != b.nrows:
-        raise ValueError("row counts differ")
-    return SparseIntMatrix.from_columns(a.nrows, list(a._cols) + list(b._cols))
 
 
 class _Echelon:
@@ -306,7 +310,7 @@ def column_hnf(a: SparseIntMatrix) -> SparseIntMatrix:
     ech = _Echelon()
     for j in range(a.ncols):
         ech.insert(dict(a._cols[j]))
-    return SparseIntMatrix.from_columns(a.nrows, [row for _, row in ech.canonicalize()])
+    return SparseIntMatrix._adopt(a.nrows, [row for _, row in ech.canonicalize()])
 
 
 def kernel_basis(a: SparseIntMatrix) -> SparseIntMatrix:
@@ -327,7 +331,7 @@ def kernel_basis(a: SparseIntMatrix) -> SparseIntMatrix:
     for pivot, row in ech.canonicalize():
         if pivot >= m:
             cols.append({j - m: v for j, v in row.items()})
-    return SparseIntMatrix.from_columns(n, cols)
+    return SparseIntMatrix._adopt(n, cols)
 
 
 class LatticeSolver:
@@ -406,7 +410,7 @@ def lattice_sum_basis(a: SparseIntMatrix, b: SparseIntMatrix) -> SparseIntMatrix
     """Canonical basis of (column lattice of a) + (column lattice of b)."""
     if a.nrows != b.nrows:
         raise ValueError("row counts differ")
-    return column_hnf(hstack(a, b))
+    return column_hnf(SparseIntMatrix._adopt(a.nrows, a._cols + b._cols))
 
 
 @dataclass(frozen=True)
@@ -558,7 +562,7 @@ def chain_invariant_factors(d: Sequence[SparseIntMatrix]) -> list[tuple[int, ...
         if live:
             index = {i: r for r, i in enumerate(sorted({i for c in live for i in c}))}
             residual = invariant_factors(
-                SparseIntMatrix.from_columns(
+                SparseIntMatrix._adopt(
                     len(index), [{index[i]: v for i, v in c.items()} for c in live]
                 )
             )
@@ -676,7 +680,7 @@ def _smith(
     for new_i, old_i in enumerate(row_order):
         for jj, v in lt[old_i].items():
             left._cols[jj][new_i] = v
-    right = SparseIntMatrix.from_columns(n, [rt[old_j] for old_j in col_order])
+    right = SparseIntMatrix._adopt(n, [rt[old_j] for old_j in col_order])
     return d, left, right
 
 

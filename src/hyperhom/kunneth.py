@@ -33,7 +33,7 @@ from .homology import (
     map_in_bases,
 )
 from .hypergraph import Hypergraph, SimplicialComplex, lattice_paths, product_boxtimes
-from .intlinalg import SparseIntMatrix, column_hnf
+from .intlinalg import SparseIntMatrix
 
 SimplexPair = tuple[tuple[int, ...], tuple[int, ...]]
 
@@ -168,39 +168,35 @@ def inf_tensor_basis(
     """Largest boundary-stable submodule of the tensor complex inside
     the span of hyperedge tensors e (x) e'.
 
-    Computed degreewise as the tensor of the factor infimum bases. In
-    verification mode the submodule is recomputed directly inside the
-    tensor complex (kernel of the projected tensor boundary, the same
-    construction used for a single hypergraph) and the two canonical
-    bases must be identical matrices. The result's ``coordinates`` is
-    the :class:`TensorContext` that names its rows.
+    Computed degreewise as the tensor of the factor infimum bases, which
+    is canonical as it stands: the (p, i, j) loop emits the pivots
+    (lead x, lead y) in increasing order. In verification mode the
+    submodule is recomputed directly inside the tensor complex (kernel
+    of the projected tensor boundary, the same construction used for a
+    single hypergraph) and the two canonical bases must be identical
+    matrices. The result's ``coordinates`` is the :class:`TensorContext`
+    that names its rows.
     """
     ctx = TensorContext(h.closure, h2.closure)
     mi, mi2 = h.inf, h2.inf
     bases = []
     for n in range(ctx.top_degree + 1):
-        ambient = len(ctx.simplices_of_dim(n))
         pos = ctx.simplex_positions(n)
         cols = []
         for p in range(n + 1):
             q = n - p
             if p > mi.top_degree or q > mi2.top_degree:
                 continue
-            bl, br = mi.bases[p], mi2.bases[q]
+            # each factor column is read once, as (simplex, value) pairs
             lsimp = mi.coordinates.simplices_of_dim(p)
             rsimp = mi2.coordinates.simplices_of_dim(q)
-            for i in range(bl.ncols):
-                xi = bl.column(i)
-                for j in range(br.ncols):
-                    yj = br.column(j)
-                    cols.append(
-                        {
-                            pos[(lsimp[a], rsimp[b])]: va * vb
-                            for a, va in xi.items()
-                            for b, vb in yj.items()
-                        }
-                    )
-        bases.append(column_hnf(SparseIntMatrix.from_columns(ambient, cols)))
+            lefts = [[(lsimp[a], v) for a, v in x.items()] for x in mi.bases[p]._cols]
+            rights = [[(rsimp[b], v) for b, v in y.items()] for y in mi2.bases[q]._cols]
+            for x in lefts:
+                for y in rights:
+                    cols.append({pos[(s, u)]: vs * vu for s, vs in x for u, vu in y})
+        # no Hermite pass: pivots px * py > 0 rise, entries on them lie in [0, px * py)
+        bases.append(SparseIntMatrix._adopt(len(pos), cols))
     result = GradedSubmodule(ctx, tuple(bases))
     if verify:
         generators = tuple(

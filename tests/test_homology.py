@@ -35,6 +35,7 @@ from hyperhom.homology import (
     classical_homology,
     embedded_homology,
     facet_coordinates,
+    inf_bases_of_span,
     inf_chain,
     mod_p,
     parse_coefficient,
@@ -49,7 +50,7 @@ from hyperhom.hypergraph import (
     product_boxtimes,
     random_hypergraph,
 )
-from hyperhom.intlinalg import SparseIntMatrix
+from hyperhom.intlinalg import SparseIntMatrix, column_hnf
 from hyperhom.kunneth import TensorChain, TensorContext, inf_tensor_basis
 from test_intlinalg import conjugated_complexes
 from test_kunneth import small_pairs
@@ -361,6 +362,29 @@ def test_restricted_boundaries_match_the_oracle(h, pair):
     box = product_boxtimes(h1, h2)
     for m in (h.inf, h.sup, box.inf, box.sup, inf_tensor_basis(h1, h2)):
         assert restricted_boundaries(m) == oracle_restricted_boundaries(m)
+
+
+@settings(max_examples=30)
+@given(small_hypergraphs(), small_pairs())
+def test_infimum_bases_are_canonical_as_built(h, pair):
+    # the library takes no Hermite pass over the infima; column_hnf, the
+    # pass it dropped, must leave every degree as it is
+    h1, h2 = pair
+    tensor_inf = inf_tensor_basis(h1, h2)
+    ctx = tensor_inf.coordinates
+    generators = tuple(
+        tuple(
+            ctx.simplex_positions(n)[(e, e2)]
+            for e in h1.edges
+            for e2 in h2.edges
+            if len(e) + len(e2) == n + 2
+        )
+        for n in range(ctx.top_degree + 1)
+    )
+    direct = inf_bases_of_span(ctx.boundaries, generators)
+    for bases in (h.inf.bases, product_boxtimes(h1, h2).inf.bases, tensor_inf.bases, direct):
+        for b in bases:
+            assert column_hnf(b) == b
 
 
 # ----------------------------------------------------- chain property, D@D

@@ -354,9 +354,11 @@ def test_random_hypergraph_degenerate_cases():
 
 
 def test_random_hypergraph_rejects_bad_arguments():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="at least one vertex"):
         random_hypergraph(0, 1, 0.5, seed=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="max_dim must be non-negative, got -1"):
+        random_hypergraph(3, -1, 0.5, seed=0)
+    with pytest.raises(ValueError, match="density"):
         random_hypergraph(3, 1, 1.5, seed=0)
 
 

@@ -28,7 +28,6 @@ from hyperhom.intlinalg import (
     chain_invariant_factors,
     column_hnf,
     determinant,
-    hstack,
     invariant_factors,
     is_prime,
     kernel_basis,
@@ -670,8 +669,8 @@ def test_sparse_back_substitution_matches_quadratic_reference(a):
         assert kernel_basis(a) == ker
 
 
-def test_hstack_shape_checks():
+def test_lattice_sum_basis_refuses_different_row_counts():
     a = SparseIntMatrix(2, 1)
     b = SparseIntMatrix(3, 1)
-    with pytest.raises(ValueError):
-        hstack(a, b)
+    with pytest.raises(ValueError, match="row counts differ"):
+        lattice_sum_basis(a, b)

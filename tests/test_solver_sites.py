@@ -4,6 +4,9 @@ degree): the restricted boundaries, the chain-map matrices and
 membership all solve with it. And it solves in two places only:
 ``map_in_bases``, which writes every graded map in bases, and
 ``GradedSubmodule.contains``.
+
+Outside ``intlinalg`` no module writes a matrix's ``_cols``: the library
+hands the columns it builds to ``SparseIntMatrix._adopt``.
 """
 
 from __future__ import annotations
@@ -53,6 +56,15 @@ def _reads_solve(node: ast.AST) -> bool:
     return isinstance(node, ast.Attribute) and node.attr == "solve"
 
 
+def _writes_cols(node: ast.AST) -> bool:
+    # ``m._cols = ...``, or a subscript store through it: ``m._cols[j][i] = ...``
+    if not isinstance(getattr(node, "ctx", None), (ast.Store, ast.Del)):
+        return False
+    while isinstance(node, ast.Subscript):
+        node = node.value
+    return isinstance(node, ast.Attribute) and node.attr == "_cols"
+
+
 def test_only_graded_submodule_solver_builds_a_lattice_solver() -> None:
     assert _package_sites(_builds_a_solver) == ["homology.py:GradedSubmodule.solver"]
 
@@ -62,3 +74,9 @@ def test_only_map_in_bases_and_membership_solve() -> None:
         "homology.py:GradedSubmodule.contains",
         "homology.py:map_in_bases",
     ]
+
+
+def test_only_intlinalg_writes_matrix_columns() -> None:
+    sites = _package_sites(_writes_cols)
+    assert [s for s in sites if not s.startswith("intlinalg.py:")] == []
+    assert "intlinalg.py:SparseIntMatrix._adopt" in sites
