@@ -11,7 +11,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 from .errors import HyperhomError, ValidationError, VerificationError
@@ -25,10 +27,10 @@ from .homology import (
 )
 from .hypergraph import (
     Hypergraph,
-    dumps_structured,
     hypergraph_from_edges,
     parse_hypergraph,
     product_boxtimes,
+    to_structured,
     to_text,
 )
 from .fuzz import FuzzConfig, run_fuzz
@@ -128,53 +130,50 @@ def _read_hypergraph(path: str) -> Hypergraph:
     return parse_hypergraph(Path(path).read_text())
 
 
-def _truncated(values, max_dim: int | None):
-    if max_dim is None:
-        return list(values)
-    return list(values)[: max_dim + 1]
+# what a command reports: its JSON document and its text, each built only
+# when asked for, and the message of a failed check (None when all passed)
+Report = tuple[Callable[[], dict], Callable[[], str], str | None]
 
 
-def cmd_homology(config: RunConfig) -> str:
+def cmd_homology(config: RunConfig) -> Report:
     h = _read_hypergraph(config.inputs[0])
-    values = _truncated(
-        embedded_homology(h, config.coeff, verify=config.verify), config.max_dim
-    )
-    if config.out_format == "structured":
-        table = [
-            {"degree": n, "value": v if config.coeff.is_field else str(v)}
-            for n, v in enumerate(values)
-        ]
-        return _json_doc(
-            {
-                "command": "homology",
-                "coefficients": str(config.coeff),
-                "verified": config.verify,
-                "homology": table,
-            }
-        )
-    lines = [f"embedded homology over {config.coeff}"]
-    lines += [f"H_{n} = {v}" for n, v in enumerate(values)]
-    return "\n".join(lines) + "\n"
+    values = embedded_homology(h, config.coeff, verify=config.verify)
+    if config.max_dim is not None:
+        values = values[: config.max_dim + 1]
+
+    def doc() -> dict:
+        return {
+            "command": "homology",
+            "coefficients": str(config.coeff),
+            "verified": config.verify,
+            "homology": [
+                {"degree": n, "value": v if config.coeff.is_field else str(v)}
+                for n, v in enumerate(values)
+            ],
+        }
+
+    def text() -> str:
+        lines = [f"embedded homology over {config.coeff}"]
+        lines += [f"H_{n} = {v}" for n, v in enumerate(values)]
+        return "\n".join(lines) + "\n"
+
+    return doc, text, None
 
 
-def _emit_hypergraph(g: Hypergraph, config: RunConfig) -> str:
-    if config.out_format == "structured":
-        return dumps_structured(g)
-    return to_text(g)
-
-
-def cmd_product(config: RunConfig) -> str:
+def cmd_product(config: RunConfig) -> Report:
     h = _read_hypergraph(config.inputs[0])
     h2 = _read_hypergraph(config.inputs[1])
     box = product_boxtimes(h, h2)
-    return _emit_hypergraph(box.closure if config.closure else box, config)
+    g = box.closure if config.closure else box
+    return partial(to_structured, g), partial(to_text, g), None
 
 
-def cmd_closure(config: RunConfig) -> str:
-    return _emit_hypergraph(_read_hypergraph(config.inputs[0]).closure, config)
+def cmd_closure(config: RunConfig) -> Report:
+    g = _read_hypergraph(config.inputs[0]).closure
+    return partial(to_structured, g), partial(to_text, g), None
 
 
-def cmd_kunneth(config: RunConfig) -> str:
+def cmd_kunneth(config: RunConfig) -> Report:
     h = _read_hypergraph(config.inputs[0])
     h2 = _read_hypergraph(config.inputs[1])
     report = kunneth_check(h, h2, config.coeff)
@@ -183,85 +182,59 @@ def cmd_kunneth(config: RunConfig) -> str:
         embedded_homology(h2, config.coeff, verify=True)
         embedded_homology(product_boxtimes(h, h2), config.coeff, verify=True)
         restricted_chainmap_check(h, h2, verify=True)
-    rendered = (
-        _json_doc(report.to_dict())
-        if config.out_format == "structured"
-        else report.to_text()
-    )
-    if not report.ok:
-        _write_output(rendered, config.out_path)
-        raise VerificationError(
-            "kunneth mismatch; the report above documents the counterexample"
-        )
-    return rendered
+    mismatch = "kunneth mismatch; the report above documents the counterexample"
+    return report.to_dict, report.to_text, None if report.ok else mismatch
 
 
-def cmd_ez_aw_demo(config: RunConfig) -> str:
+def cmd_ez_aw_demo(config: RunConfig) -> Report:
     """Both chain maps on the square: every basis tensor through the
     shuffle map, every product simplex through the front/back-face map."""
     seg = hypergraph_from_edges([["0", "1"]])
     ctx = TensorContext.from_hypergraphs(seg, seg)
     square = product_boxtimes(seg, seg).closure
-    mu_rows = []
+
+    def tensor(t: TensorChain) -> str:
+        return render_tensor_chain(t, ctx.left, ctx.right)
+
+    shuffle = []
     for block in ctx.simplices:
         for s, u in block:
             t = TensorChain.of_pair(s, u)
-            mu_rows.append((t, ez_map(t, ctx)))
-    nu_rows = []
+            shuffle.append((tensor(t), render_chain(ez_map(t, ctx), square)))
+    front_back = []
     for sx in square.simplices:
         c = ChainElement.of_simplex(sx)
-        nu_rows.append((c, aw_map(c, ctx)))
-    if config.out_format == "structured":
-        return _json_doc(
-            {
-                "command": "ez-aw-demo",
-                "shuffle": [
-                    {
-                        "tensor": render_tensor_chain(t, ctx.left, ctx.right),
-                        "image": render_chain(img, square),
-                    }
-                    for t, img in mu_rows
-                ],
-                "front_back": [
-                    {
-                        "simplex": render_chain(c, square),
-                        "image": render_tensor_chain(img, ctx.left, ctx.right),
-                    }
-                    for c, img in nu_rows
-                ],
-            }
+        front_back.append((render_chain(c, square), tensor(aw_map(c, ctx))))
+    # (document key, name of a row's source, text heading, rendered rows)
+    tables = [
+        ("shuffle", "tensor", "shuffle map on the square (segment x segment)", shuffle),
+        ("front_back", "simplex", "front/back-face map on the square", front_back),
+    ]
+
+    def doc() -> dict:
+        return {"command": "ez-aw-demo"} | {
+            key: [{source: a, "image": b} for a, b in rows]
+            for key, source, _, rows in tables
+        }
+
+    def text() -> str:
+        return "".join(
+            heading + "\n" + "".join(f"  {a} -> {b}\n" for a, b in rows)
+            for _, _, heading, rows in tables
         )
-    lines = ["shuffle map on the square (segment x segment)"]
-    for t, img in mu_rows:
-        lines.append(
-            f"  {render_tensor_chain(t, ctx.left, ctx.right)} -> "
-            f"{render_chain(img, square)}"
-        )
-    lines.append("front/back-face map on the square")
-    for c, img in nu_rows:
-        lines.append(
-            f"  {render_chain(c, square)} -> "
-            f"{render_tensor_chain(img, ctx.left, ctx.right)}"
-        )
-    return "\n".join(lines) + "\n"
+
+    return doc, text, None
 
 
-def cmd_fuzz(config: RunConfig) -> str:
+def cmd_fuzz(config: RunConfig) -> Report:
     # bounds left out of argv take their defaults from FuzzConfig
     bounds = {"max_vertices": config.max_vertices, "max_dim": config.max_dim}
     fuzz_config = FuzzConfig(
         config.count, config.seed, **{k: v for k, v in bounds.items() if v is not None}
     )
     report = run_fuzz(fuzz_config)
-    rendered = (
-        _json_doc(report.to_dict())
-        if config.out_format == "structured"
-        else report.to_text()
-    )
-    if not report.ok:
-        _write_output(rendered, config.out_path)
-        raise VerificationError(f"{len(report.failures)} fuzz instance(s) failed")
-    return rendered
+    failure = None if report.ok else f"{len(report.failures)} fuzz instance(s) failed"
+    return report.to_dict, report.to_text, failure
 
 
 def _json_doc(doc: dict) -> str:
@@ -299,8 +272,12 @@ def main(argv: list[str] | None = None) -> int:
             raise ValidationError("--max-dim must be non-negative")
         if config.max_vertices is not None and config.max_vertices < 1:
             raise ValidationError("--max-vertices must be at least 1")
-        text = _COMMANDS[config.command](config)
-        _write_output(text, config.out_path)
+        doc, text, failure = _COMMANDS[config.command](config)
+        rendered = _json_doc(doc()) if config.out_format == "structured" else text()
+        _write_output(rendered, config.out_path)
+        if failure is not None:
+            # raised only now, so the report of a failed check is written first
+            raise VerificationError(failure)
         return 0
     except HyperhomError as exc:
         print(f"error: {exc}", file=sys.stderr)

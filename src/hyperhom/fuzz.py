@@ -51,8 +51,10 @@ class FuzzConfig:
     def __post_init__(self) -> None:
         if self.count < 0:
             raise ValueError("count must be non-negative")
-        if self.max_vertices < 1 or self.max_dim < 0:
-            raise ValueError("size bounds must be positive")
+        if self.max_vertices < 1:
+            raise ValueError("max_vertices must be at least 1")
+        if self.max_dim < 0:
+            raise ValueError("max_dim must be non-negative")
 
 
 def instance_pair(config: FuzzConfig, index: int) -> tuple[Hypergraph, Hypergraph]:

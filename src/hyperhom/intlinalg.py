@@ -327,10 +327,10 @@ def kernel_basis(a: SparseIntMatrix) -> SparseIntMatrix:
         vec = dict(a._cols[j])
         vec[m + j] = 1
         ech.insert(vec)
-    cols = []
-    for pivot, row in ech.canonicalize():
-        if pivot >= m:
-            cols.append({j - m: v for j, v in row.items()})
+    # only the tail rows are returned, and finishing them needs no other
+    # row: a tail row has no entry before its pivot, so none below m
+    ech.rows = {pivot: row for pivot, row in ech.rows.items() if pivot >= m}
+    cols = [{j - m: v for j, v in row.items()} for _, row in ech.canonicalize()]
     return SparseIntMatrix._adopt(n, cols)
 
 

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import ast
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +24,7 @@ from hyperhom.hypergraph import (
     parse_hypergraph,
     product_boxtimes,
 )
+from test_solver_sites import _sites
 
 SEGMENT_WITH_POINT = "v0\nv0 v1\n"
 
@@ -215,12 +218,45 @@ def test_fuzz_zero_count(capsys) -> None:
     assert "checked 0 instance pairs" in out
 
 
-def test_out_flag_writes_file_instead_of_stdout(tmp_path, capsys) -> None:
+# (command, input files, further flags) for every command
+EVERY_COMMAND = [
+    ("homology", 1, ()),
+    ("product", 2, ()),
+    ("closure", 1, ()),
+    ("kunneth", 2, ()),
+    ("ez-aw-demo", 0, ()),
+    ("fuzz", 0, ("--count", "3")),
+]
+
+
+@pytest.mark.parametrize("out_format", ["text", "structured"])
+@pytest.mark.parametrize(
+    "command, n_inputs, flags", EVERY_COMMAND, ids=[c for c, _, _ in EVERY_COMMAND]
+)
+def test_out_flag_writes_file_instead_of_stdout(
+    tmp_path, capsys, command, n_inputs, flags, out_format
+) -> None:
     path = write(tmp_path, "h.txt", SEGMENT_WITH_POINT)
-    target = tmp_path / "report.txt"
-    code, out, _ = run(capsys, "homology", path, "--out", str(target))
-    assert code == 0 and out == ""
-    assert target.read_text().startswith("embedded homology over z")
+    argv = (command, *[path] * n_inputs, *flags, "--format", out_format)
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and out and err == ""
+    target = tmp_path / "report"
+    assert run(capsys, *argv, "--out", str(target)) == (0, "", "")
+    assert target.read_text() == out
+
+
+@pytest.mark.parametrize("command, n_inputs", [("product", 2), ("closure", 1)])
+def test_only_the_requested_format_is_rendered(
+    tmp_path, capsys, spy, command, n_inputs
+) -> None:
+    path = write(tmp_path, "h.txt", SEGMENT_WITH_POINT)
+    text_calls = spy(cli, "to_text")
+    structured_calls = spy(cli, "to_structured")
+    assert run(capsys, command, *[path] * n_inputs)[0] == 0
+    assert (len(text_calls), structured_calls) == (1, [])
+    text_calls.clear()
+    assert run(capsys, command, *[path] * n_inputs, "--format", "structured")[0] == 0
+    assert (text_calls, len(structured_calls)) == ([], 1)
 
 
 def test_usage_and_parse_failures_exit_1(tmp_path, capsys) -> None:
@@ -379,6 +415,30 @@ def test_kunneth_mismatch_exits_3_and_still_prints_report(
     assert "error:" in err
 
 
+def test_kunneth_mismatch_exits_3_and_still_writes_the_document(
+    tmp_path, capsys, monkeypatch
+) -> None:
+    class FakeReport:
+        ok = False
+
+        def to_text(self) -> str:
+            raise AssertionError("the structured format renders no text")
+
+        def to_dict(self) -> dict:
+            return {"ok": False}
+
+    monkeypatch.setattr(cli, "kunneth_check", lambda h, h2, coeff: FakeReport())
+    left = write(tmp_path, "l.txt", "v0\n")
+    right = write(tmp_path, "r.txt", "w0\n")
+    argv = ("kunneth", left, right, "--format", "structured")
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and json.loads(out) == {"ok": False}
+    assert err == "error: kunneth mismatch; the report above documents the counterexample\n"
+    target = tmp_path / "report.json"
+    assert run(capsys, *argv, "--out", str(target)) == (3, "", err)
+    assert target.read_text() == out
+
+
 def test_fuzz_failure_exits_3(capsys, monkeypatch) -> None:
     h = hypergraph_from_edges([["a", "b"]])
     fake = FuzzReport(
@@ -413,3 +473,21 @@ def test_kunneth_verify_exits_4_when_the_supremum_route_disagrees(
     right = write(tmp_path, "r.txt", "w0\n")
     code, out, err = run(capsys, "kunneth", left, right, "--verify")
     assert code == 4 and out == "" and "disagree" in err
+
+
+def test_only_main_renders_writes_and_fails_a_check() -> None:
+    # the commands return their report; main alone picks the format, writes
+    # it, and turns a failed check into exit 3 once the report is written
+    def names_output(node: ast.AST) -> bool:
+        return isinstance(node, ast.Name) and node.id in (
+            "_json_doc",
+            "_write_output",
+            "VerificationError",
+        )
+
+    def reads_output_settings(node: ast.AST) -> bool:
+        return isinstance(node, ast.Attribute) and node.attr in ("out_format", "out_path")
+
+    path = Path(cli.__file__)
+    assert set(_sites(path, names_output)) == {"main"}
+    assert [s for s in _sites(path, reads_output_settings) if s.startswith("cmd_")] == []

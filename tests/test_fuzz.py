@@ -18,12 +18,13 @@ from hyperhom.intlinalg import rank
 
 
 def test_config_rejects_bad_bounds() -> None:
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="count must be non-negative"):
         FuzzConfig(count=-1, seed=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="max_vertices must be at least 1"):
         FuzzConfig(count=1, seed=0, max_vertices=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="max_dim must be non-negative"):
         FuzzConfig(count=1, seed=0, max_dim=-1)
+    FuzzConfig(count=0, seed=0, max_vertices=1, max_dim=0)
 
 
 def test_instance_pair_is_deterministic() -> None:

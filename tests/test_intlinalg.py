@@ -453,6 +453,7 @@ def test_kernel_worked_examples():
 def test_kernel_is_complete_and_annihilates(a):
     k = kernel_basis(a)
     assert k.ncols == a.ncols - rank(a)
+    assert column_hnf(k) == k
     prod = a @ k
     assert prod.is_zero()
     # doubling the matrix must not change its kernel (saturation)
