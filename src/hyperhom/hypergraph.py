@@ -22,17 +22,21 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence, TypeVar
 
 from .errors import FormatError, ValidationError
 
 if TYPE_CHECKING:
     from .homology import GradedSubmodule, SimplexCoordinates
 
+_H = TypeVar("_H", bound="Hypergraph")
+
 
 def _canonical_edges(edges: Iterable[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
     """Deduplicate and sort hyperedges by (dimension, vertex sequence)."""
-    return tuple(sorted(set(edges), key=lambda e: (len(e), e)))
+    # a stable sort by length keeps the lexicographic order within each
+    # length, with no Python-level key call per edge
+    return tuple(sorted(sorted(set(edges)), key=len))
 
 
 @dataclass(frozen=True)
@@ -74,6 +78,19 @@ class Hypergraph:
             raise ValidationError(f"vertices in no hyperedge: {missing}")
         if not self.edges:
             raise ValidationError("hypergraph has no hyperedges")
+
+    @classmethod
+    def _adopt(
+        cls: type[_H], vertices: tuple[str, ...], edges: tuple[tuple[int, ...], ...]
+    ) -> _H:
+        """A hypergraph the library built itself, taken as it is: distinct
+        tokens, canonical edges that cover every vertex and, for a
+        :class:`SimplicialComplex`, closed under facets. Nothing is
+        checked; user input goes through the constructor."""
+        h = object.__new__(cls)
+        object.__setattr__(h, "vertices", vertices)
+        object.__setattr__(h, "edges", edges)
+        return h
 
     # ----------------------------------------------------------- derived
 
@@ -333,7 +350,9 @@ def associated_complex(h: Hypergraph) -> SimplicialComplex:
     for e in h.edges:
         for k in range(1, len(e) + 1):
             closed.update(itertools.combinations(e, k))
-    return SimplicialComplex(h.vertices, _canonical_edges(closed))
+    # h's vertices, each in a singleton, and every subset of a subset is
+    # a subset: canonical, covered and closed as built
+    return SimplicialComplex._adopt(h.vertices, _canonical_edges(closed))
 
 
 # --------------------------------------------------------------- product
@@ -412,15 +431,19 @@ def product_boxtimes(h: Hypergraph, h2: Hypergraph) -> Hypergraph:
         for tau in h2.edges:
             for points, _ in lattice_paths(len(sigma) - 1, len(tau) - 1):
                 edges.add(tuple(sigma[a] * width + tau[b] for a, b in points))
-    h._products[h2] = Hypergraph(product_vertices(h, h2), _canonical_edges(edges))
+    # tokens without '|' pair up distinctly; every grid point lies on some
+    # path, so every pair is covered; a path's indices strictly increase
+    h._products[h2] = Hypergraph._adopt(product_vertices(h, h2), _canonical_edges(edges))
     return h._products[h2]
 
 
 def product_complex(k: Hypergraph, k2: Hypergraph) -> SimplicialComplex:
     """Cartesian product of simplicial complexes, as the closure of the
-    lattice-path product. Inputs must be closed."""
+    lattice-path product. Inputs must be closed: a
+    :class:`SimplicialComplex` is, by construction or validation, and a
+    plain hypergraph is checked."""
     for g in (k, k2):
-        if not g.is_closed():
+        if not isinstance(g, SimplicialComplex) and not g.is_closed():
             raise ValidationError("product_complex needs closed complexes")
     return product_boxtimes(k, k2).closure
 

@@ -306,11 +306,25 @@ def column_hnf(a: SparseIntMatrix) -> SparseIntMatrix:
     Columns of the result are the Hermite-canonical basis ordered by
     pivot row; two matrices span the same column lattice iff their
     canonical forms are equal.
+
+    Unit columns, exactly {i: +-1}, are peeled off first. They span
+    Z^I on their rows I, so the lattice is Z^I plus the other columns
+    with the rows I dropped, and only that residual is echelonized. No
+    residual basis column has an entry on a row in I, and e_i has one
+    entry, on its pivot, so the two merged by pivot row are the
+    canonical basis of the whole lattice.
     """
+    units = {
+        i for c in a._cols if len(c) == 1 for i, v in c.items() if v in (1, -1)
+    }
     ech = _Echelon()
-    for j in range(a.ncols):
-        ech.insert(dict(a._cols[j]))
-    return SparseIntMatrix._adopt(a.nrows, [row for _, row in ech.canonicalize()])
+    for c in a._cols:
+        rest = {i: v for i, v in c.items() if i not in units}
+        if rest:
+            ech.insert(rest)
+    pivots = dict(ech.canonicalize())
+    pivots.update((i, {i: 1}) for i in units)
+    return SparseIntMatrix._adopt(a.nrows, [pivots[i] for i in sorted(pivots)])
 
 
 def kernel_basis(a: SparseIntMatrix) -> SparseIntMatrix:

@@ -34,6 +34,12 @@ solves as the library once did: it echelonizes the basis columns with
 identity tails, so it takes any independent basis, and reads the
 coefficients off the tails. :func:`oracle_chain_homology` solves with it.
 
+Hermite bases: the library's ``column_hnf`` peels the unit columns off
+and echelonizes only what the others leave on the remaining rows.
+:func:`oracle_column_hnf` echelonizes every column as it stands, as the
+library once did, and :func:`oracle_sup_chain` takes its lattice sums
+with it.
+
 Restricted boundaries: the library writes them with ``map_in_bases``,
 which solves each image with ``LatticeSolver``.
 :func:`oracle_restricted_boundaries` writes them from the oracle
@@ -75,7 +81,6 @@ from hyperhom.intlinalg import (
     _Echelon,
     invariant_factors,
     kernel_basis,
-    lattice_sum_basis,
 )
 
 
@@ -126,6 +131,15 @@ def oracle_factor_homology(d: list[SparseIntMatrix]) -> list[FGAbelianGroup]:
         )
         for n, m in enumerate(d)
     ]
+
+
+def oracle_column_hnf(a: SparseIntMatrix) -> SparseIntMatrix:
+    """The Hermite-canonical basis of the column lattice of ``a``, from
+    one echelon store fed with every column of the whole matrix."""
+    ech = _Echelon()
+    for j in range(a.ncols):
+        ech.insert(a.column(j))
+    return SparseIntMatrix.from_columns(a.nrows, [row for _, row in ech.canonicalize()])
 
 
 class OracleSolver:
@@ -259,19 +273,12 @@ def oracle_sup_chain(h: Hypergraph) -> GradedSubmodule:
     top = h.dim + 1
     bases = []
     for n in range(top + 1):
-        ambient = len(k.simplices_of_dim(n))
-        span = SparseIntMatrix.from_columns(
-            ambient, [{p: 1} for p in _closure_positions(h, k, n)]
-        )
+        cols = [{p: 1} for p in _closure_positions(h, k, n)]
         if n + 1 <= top:
             d_above = k.coordinates.boundaries[n + 1]
-            image = SparseIntMatrix.from_columns(
-                ambient,
-                [dict(d_above.column(p)) for p in _closure_positions(h, k, n + 1)],
-            )
-        else:
-            image = SparseIntMatrix(ambient, 0)
-        bases.append(lattice_sum_basis(span, image))
+            cols += [d_above.column(p) for p in _closure_positions(h, k, n + 1)]
+        ambient = len(k.simplices_of_dim(n))
+        bases.append(oracle_column_hnf(SparseIntMatrix.from_columns(ambient, cols)))
     return GradedSubmodule(k.coordinates, tuple(bases))
 
 

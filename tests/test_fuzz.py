@@ -66,6 +66,17 @@ def test_check_pair_computes_each_derived_value_once(spy) -> None:
     assert [kwargs.get("verify", False) for _, kwargs in tensor_calls] == [False]
 
 
+def test_check_pair_validates_no_hypergraph_it_builds(spy) -> None:
+    # the closures, the products and the closures of the products are all
+    # built by the library; only the two parsed factors were validated
+    h = hypergraph_from_edges([["a", "b", "c"], ["b", "d"], ["d"]])
+    h2 = hypergraph_from_edges([["x", "y"], ["y", "z"], ["x", "z"]])
+    validated = spy(Hypergraph, "__post_init__")
+    closed = spy(Hypergraph, "is_closed")
+    assert check_pair(h, h2) is None
+    assert validated == [] and closed == []
+
+
 def test_shuffle_image_outside_the_product_coordinates_is_a_chain_map_failure(
     monkeypatch,
 ) -> None:

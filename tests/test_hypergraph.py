@@ -24,6 +24,7 @@ from hyperhom.hypergraph import (
     to_structured,
     to_text,
 )
+from test_kunneth import small_pairs
 
 
 def small_hypergraphs(max_vertices=5, max_dim=3):
@@ -327,6 +328,19 @@ def test_closure_commutes_with_product(h, h2):
     via_product = associated_complex(product_boxtimes(h, h2))
     via_closures = product_complex(associated_complex(h), associated_complex(h2))
     assert via_product == via_closures
+
+
+@given(small_hypergraphs(), small_pairs())
+def test_adopted_closures_and_products_pass_the_validating_constructors(h, pair):
+    h1, h2 = pair
+    box = product_boxtimes(h1, h2)
+    closures = (h.closure, box.closure, product_complex(h1.closure, h2.closure))
+    for k in closures:
+        assert type(k) is SimplicialComplex
+        assert k == SimplicialComplex(k.vertices, k.edges)
+    for p in (box, product_boxtimes(h1.closure, h2.closure)):
+        assert type(p) is Hypergraph
+        assert p == Hypergraph(p.vertices, p.edges)
 
 
 def test_product_complex_rejects_open_inputs():

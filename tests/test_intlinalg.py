@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import hyperhom.intlinalg as intlinalg
-from homology_oracle import OracleSolver
+from homology_oracle import OracleSolver, oracle_column_hnf
 from hyperhom.examples import projective_plane
 from hyperhom.hypergraph import product_boxtimes
 from hyperhom.intlinalg import (
@@ -453,7 +453,7 @@ def test_kernel_worked_examples():
 def test_kernel_is_complete_and_annihilates(a):
     k = kernel_basis(a)
     assert k.ncols == a.ncols - rank(a)
-    assert column_hnf(k) == k
+    assert oracle_column_hnf(k) == k
     prod = a @ k
     assert prod.is_zero()
     # doubling the matrix must not change its kernel (saturation)
@@ -638,6 +638,26 @@ def test_column_hnf_spans_same_lattice(a):
     solver = LatticeSolver(h)
     for j in range(a.ncols):
         assert solver.solve(a.column(j)) is not None
+
+
+@given(int_matrices(max_dim=6), st.data())
+def test_peeled_column_hnf_matches_the_whole_matrix_oracle(a, data):
+    # unit columns, duplicated and negated at will, and columns that live
+    # on the unit rows alone (their residual is zero), mixed into a
+    # random matrix in a random order
+    units = data.draw(
+        st.lists(st.tuples(st.integers(0, a.nrows - 1), st.sampled_from([1, -1])), max_size=6)
+    )
+    unit_rows = sorted({i for i, _ in units})
+    shadows = []
+    if unit_rows:
+        shadows = data.draw(
+            st.lists(st.dictionaries(st.sampled_from(unit_rows), small_entries), max_size=3)
+        )
+    cols = [a.column(j) for j in range(a.ncols)] + [{i: u} for i, u in units] + shadows
+    order = data.draw(st.permutations(range(len(cols))))
+    m = SparseIntMatrix.from_columns(a.nrows, [cols[k] for k in order])
+    assert column_hnf(m) == oracle_column_hnf(m)
 
 
 def quadratic_canonicalize(ech: _Echelon) -> list[tuple[int, dict[int, int]]]:

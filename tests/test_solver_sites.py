@@ -7,6 +7,10 @@ membership all solve with it. And it solves in two places only:
 
 Outside ``intlinalg`` no module writes a matrix's ``_cols``: the library
 hands the columns it builds to ``SparseIntMatrix._adopt``.
+
+A hypergraph is adopted without validation in two places only, where it
+holds by construction: the closure in ``associated_complex`` and the
+product in ``product_boxtimes``.
 """
 
 from __future__ import annotations
@@ -65,6 +69,16 @@ def _writes_cols(node: ast.AST) -> bool:
     return isinstance(node, ast.Attribute) and node.attr == "_cols"
 
 
+def _adopts_a_hypergraph(node: ast.AST) -> bool:
+    # any ``X._adopt(...)`` call but ``SparseIntMatrix._adopt(...)``
+    if not isinstance(node, ast.Call) or not isinstance(node.func, ast.Attribute):
+        return False
+    f = node.func
+    return f.attr == "_adopt" and not (
+        isinstance(f.value, ast.Name) and f.value.id == "SparseIntMatrix"
+    )
+
+
 def test_only_graded_submodule_solver_builds_a_lattice_solver() -> None:
     assert _package_sites(_builds_a_solver) == ["homology.py:GradedSubmodule.solver"]
 
@@ -80,3 +94,10 @@ def test_only_intlinalg_writes_matrix_columns() -> None:
     sites = _package_sites(_writes_cols)
     assert [s for s in sites if not s.startswith("intlinalg.py:")] == []
     assert "intlinalg.py:SparseIntMatrix._adopt" in sites
+
+
+def test_only_the_closure_and_the_product_adopt_a_hypergraph() -> None:
+    assert _package_sites(_adopts_a_hypergraph) == [
+        "hypergraph.py:associated_complex",
+        "hypergraph.py:product_boxtimes",
+    ]
