@@ -136,6 +136,8 @@ Report = tuple[Callable[[], dict], Callable[[], str], str | None]
 
 
 def cmd_homology(config: RunConfig) -> Report:
+    if config.max_dim is not None and config.max_dim < 0:
+        raise ValidationError("--max-dim must be non-negative")
     h = _read_hypergraph(config.inputs[0])
     values = embedded_homology(h, config.coeff, verify=config.verify)
     if config.max_dim is not None:
@@ -229,9 +231,13 @@ def cmd_ez_aw_demo(config: RunConfig) -> Report:
 def cmd_fuzz(config: RunConfig) -> Report:
     # bounds left out of argv take their defaults from FuzzConfig
     bounds = {"max_vertices": config.max_vertices, "max_dim": config.max_dim}
-    fuzz_config = FuzzConfig(
-        config.count, config.seed, **{k: v for k, v in bounds.items() if v is not None}
-    )
+    try:
+        fuzz_config = FuzzConfig(
+            config.count, config.seed, **{k: v for k, v in bounds.items() if v is not None}
+        )
+    except ValueError as exc:
+        # FuzzConfig checks the bounds; out of range they are invalid input
+        raise ValidationError(str(exc)) from None
     report = run_fuzz(fuzz_config)
     failure = None if report.ok else f"{len(report.failures)} fuzz instance(s) failed"
     return report.to_dict, report.to_text, failure
@@ -266,12 +272,6 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         config = _config_from_args(args)
-        if config.count < 0:
-            raise ValidationError("--count must be non-negative")
-        if config.max_dim is not None and config.max_dim < 0:
-            raise ValidationError("--max-dim must be non-negative")
-        if config.max_vertices is not None and config.max_vertices < 1:
-            raise ValidationError("--max-vertices must be at least 1")
         doc, text, failure = _COMMANDS[config.command](config)
         rendered = _json_doc(doc()) if config.out_format == "structured" else text()
         _write_output(rendered, config.out_path)

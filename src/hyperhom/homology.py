@@ -9,10 +9,13 @@ boundary maps into itself; the supremum complex is the smallest
 boundary-stable submodule containing the span. Both have isomorphic
 homology, which is what this module computes.
 
-Neither needs the whole closure. In degree n both live on the facet
-coordinates: the n-hyperedges together with the facets of the
-(n+1)-hyperedges. Boundaries are written on those coordinates, with an
-overflow row for each face outside them, so no face is ever dropped.
+Neither needs the whole closure, and the two share no coordinates. The
+infimum lives on the hyperedges themselves (``h.coordinates``): its
+degree-n basis is the kernel of the boundary of the n-hyperedges with
+every (n-1)-hyperedge row projected away. The supremum lives on the
+facet coordinates: the n-hyperedges together with the facets of the
+(n+1)-hyperedges. Boundaries are written on either, with an overflow row
+for each face outside the coordinates, so no face is ever dropped.
 
 Either complex is a chain complex of free modules once its boundaries
 are written in the submodule's own basis (the restricted boundaries).
@@ -202,9 +205,10 @@ def boundary_matrix(k: Coordinates, n: int) -> SparseIntMatrix:
     Columns follow the canonical degree-n cell order, rows the degree
     n-1 order; each entry is the sign of a face, as ``k.chain.faces``
     gives it. Degree 0 maps to the zero module, so the matrix has no
-    rows. When ``k`` is not closed under faces (facet coordinates), every
-    face outside its degree-(n-1) cells gets its own overflow row after
-    theirs, in order of first occurrence; a complex has none.
+    rows. When ``k`` is not closed under faces (a hypergraph's
+    coordinates, or facet coordinates), every face outside its
+    degree-(n-1) cells gets its own overflow row after theirs, in order
+    of first occurrence; a complex has none.
     """
     if n < 0:
         raise ValueError("degree must be non-negative")
@@ -277,16 +281,18 @@ class Coordinates:
 
 @dataclass(frozen=True)
 class SimplexCoordinates(Coordinates):
-    """Coordinates on simplices. A :class:`SimplicialComplex` is closed,
-    and its ``coordinates`` are its simplices."""
+    """Coordinates on simplices: a hypergraph's ``coordinates`` are its
+    hyperedges, which for a :class:`SimplicialComplex` are all its
+    simplices, and :func:`facet_coordinates` adds the facets."""
 
     simplices: tuple[tuple[tuple[int, ...], ...], ...]
 
 
 def facet_coordinates(h: Hypergraph) -> SimplexCoordinates:
-    """The coordinates the embedded homology of ``h`` lives on: in each
-    degree n = 0..dim+1, the n-hyperedges together with the facets of the
-    (n+1)-hyperedges. Computed afresh; ``h.coordinates`` keeps one."""
+    """The coordinates the supremum of ``h`` lives on: in each degree
+    n = 0..dim+1, the n-hyperedges together with the facets of the
+    (n+1)-hyperedges. Computed afresh; ``h.sup`` keeps the ones it
+    built."""
     out = []
     for n in range(h.dim + 2):
         here = set(h.edges_of_dim(n))
@@ -507,13 +513,13 @@ def inf_bases_of_span(
             bases.append(SparseIntMatrix(ambient, 0))
             continue
         keep_out = set(generators[n - 1]) if n > 0 else set()
-        non_gen_rows = [i for i in range(full.nrows) if i not in keep_out]
-        row_index = {r: i for i, r in enumerate(non_gen_rows)}
+        # the kernel does not depend on empty rows: the projection keeps
+        # the ambient row numbers
         cols = [
-            {row_index[i]: v for i, v in full._cols[p].items() if i in row_index}
+            {i: v for i, v in full._cols[p].items() if i not in keep_out}
             for p in positions
         ]
-        projected = SparseIntMatrix._adopt(len(non_gen_rows), cols)
+        projected = SparseIntMatrix._adopt(full.nrows, cols)
         ker = kernel_basis(projected)  # coefficients on generator columns
         # no Hermite pass: the kernel basis is canonical and positions rise
         basis_cols = [{positions[i]: v for i, v in c.items()} for c in ker._cols]
@@ -521,44 +527,42 @@ def inf_bases_of_span(
     return tuple(bases)
 
 
-def _hyperedge_positions(h: Hypergraph, n: int) -> list[int]:
-    pos = h.coordinates.simplex_positions(n)
-    return [pos[e] for e in h.edges_of_dim(n)]
-
-
 def inf_chain(h: Hypergraph) -> GradedSubmodule:
     """Largest boundary-stable submodule inside the hyperedge span.
 
-    Degree n basis: kernel of the composite (project onto simplices
-    that are not (n-1)-hyperedges) after (boundary restricted to the
-    degree-n hyperedge columns), written in the facet coordinates
-    ``h.coordinates``; the downward closure is never built. Computed
-    afresh on every call; ``h.inf`` keeps one.
+    Written in the hyperedge coordinates ``h.coordinates``, each of which
+    is a generator: the degree-n basis is the kernel of the boundary of
+    the n-hyperedges with the (n-1)-hyperedge rows projected away, so
+    only its overflow rows (faces that are no hyperedge) remain. Neither
+    the downward closure nor the facet coordinates are ever built.
+    Computed afresh on every call; ``h.inf`` keeps one.
     """
     c = h.coordinates
-    generators = tuple(
-        tuple(_hyperedge_positions(h, n)) for n in range(len(c.simplices))
-    )
+    generators = tuple(tuple(range(len(cells))) for cells in c.simplices)
     return GradedSubmodule(c, inf_bases_of_span(c.boundaries, generators))
 
 
 def sup_chain(h: Hypergraph) -> GradedSubmodule:
     """Smallest boundary-stable submodule containing the hyperedge span:
     degree n is spanned by the n-hyperedges together with boundaries of
-    the (n+1)-hyperedges, in the facet coordinates ``h.coordinates``.
+    the (n+1)-hyperedges, in the facet coordinates
+    :func:`facet_coordinates`, built here for the supremum alone.
     Computed afresh on every call; ``h.sup`` keeps one."""
-    c = h.coordinates
-    top = len(c.simplices) - 1
+    c = facet_coordinates(h)
+    top = c.top_degree
+
+    def hyperedge_positions(n: int) -> list[int]:
+        pos = c.simplex_positions(n)
+        return [pos[e] for e in h.edges_of_dim(n)]
+
     bases = []
     for n in range(top + 1):
         ambient = len(c.simplices[n])
-        span = SparseIntMatrix._adopt(
-            ambient, [{p: 1} for p in _hyperedge_positions(h, n)]
-        )
+        span = SparseIntMatrix._adopt(ambient, [{p: 1} for p in hyperedge_positions(n)])
         if n + 1 <= top:
             d_above = c.boundaries[n + 1]
             image = SparseIntMatrix._adopt(
-                ambient, [d_above._cols[p] for p in _hyperedge_positions(h, n + 1)]
+                ambient, [d_above._cols[p] for p in hyperedge_positions(n + 1)]
             )
         else:
             image = SparseIntMatrix(ambient, 0)

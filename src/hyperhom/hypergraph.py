@@ -144,11 +144,12 @@ class Hypergraph:
 
     @cached_property
     def coordinates(self) -> SimplexCoordinates:
-        """The facet coordinates shared by the infimum and supremum, see
-        :func:`hyperhom.homology.facet_coordinates`."""
-        from .homology import facet_coordinates
+        """The hyperedges of degrees 0 through dim, and an empty degree
+        dim+1: the coordinates of the infimum. A complex's are its
+        simplices."""
+        from .homology import SimplexCoordinates
 
-        return facet_coordinates(self)
+        return SimplexCoordinates(self._by_dim + ((),))
 
     @cached_property
     def inf(self) -> GradedSubmodule:
@@ -186,14 +187,6 @@ class SimplicialComplex(Hypergraph):
 
     def simplices_of_dim(self, n: int) -> tuple[tuple[int, ...], ...]:
         return self.edges_of_dim(n)
-
-    @cached_property
-    def coordinates(self) -> SimplexCoordinates:
-        """A complex is its own facet coordinates: its simplices in
-        degrees 0 through dim, and an empty degree dim+1."""
-        from .homology import SimplexCoordinates
-
-        return SimplexCoordinates(self._by_dim + ((),))
 
     def simplex_positions(self, n: int) -> dict[tuple[int, ...], int]:
         """Map each n-simplex to its position in the canonical order.

@@ -453,15 +453,111 @@ def smith_normal_form(a: SparseIntMatrix, pivot_order: str = "markowitz") -> SNF
     index. The resulting d must not depend on it, which the test suite
     exercises.
     """
-    d, left, right = _smith(a, want_transforms=True, pivot_order=pivot_order)
-    assert left is not None and right is not None
+    if pivot_order not in ("markowitz", "ordered"):
+        raise ValueError(f"unknown pivot order: {pivot_order!r}")
+    m, n = a.nrows, a.ncols
+    rows: list[dict[int, int]] = [{} for _ in range(m)]
+    cols: list[dict[int, int]] = [{} for _ in range(n)]
+    for j in range(n):
+        for i, v in a._cols[j].items():
+            rows[i][j] = v
+            cols[j][i] = v
+    lt = [{i: 1} for i in range(m)]  # row dicts of the cumulative left transform
+    rt = [{j: 1} for j in range(n)]  # column dicts of the cumulative right transform
+
+    # Each move acts on lines of one store, keeps the other store's mirror
+    # entries in step and carries the transform on that side: row moves are
+    # called as (rows, cols, lt), column moves as (cols, rows, rt).
+
+    def addmul(lines, mirror, t, dst: int, src: int, f: int) -> None:
+        # line dst += f * line src
+        if not f:
+            return
+        line = lines[dst]
+        for k, v in lines[src].items():
+            w = line.get(k, 0) + f * v
+            if w:
+                line[k] = w
+                mirror[k][dst] = w
+            else:
+                del line[k]
+                del mirror[k][dst]
+        _dict_addmul(t[dst], t[src], f)
+
+    def pair(lines, mirror, t, k1: int, k2: int, x: int, y: int, z: int, w: int) -> None:
+        # (line k1, line k2) <- (x*l1 + y*l2, z*l1 + w*l2); det must be +-1
+        for k in (k1, k2):
+            for l in lines[k]:
+                del mirror[l][k]
+        lines[k1], lines[k2] = _combine(lines[k1], lines[k2], x, y, z, w)
+        for k in (k1, k2):
+            for l, v in lines[k].items():
+                mirror[l][k] = v
+        t[k1], t[k2] = _combine(t[k1], t[k2], x, y, z, w)
+
+    # Every move combines nonempty lines, so an empty row stays empty, and
+    # a pivot's row is empty once the pivot is taken: one pass finds them all.
+    order = range(m)
+    if pivot_order == "markowitz":
+        order = sorted(order, key=lambda i: len(rows[i]))
+    pivots: list[tuple[int, int, int]] = []
+    for i in order:
+        row = rows[i]
+        if not row:
+            continue
+        if pivot_order == "ordered":
+            j = min(row)
+        else:
+            j = min(row, key=lambda l: (len(cols[l]), abs(row[l]), l))
+        # clear the pivot's column with row moves, then its row with column
+        # moves; a non-divisible entry takes a gcd pair move and restarts.
+        # Then a pivot other than +-1 that fails to divide a remaining entry
+        # takes in that entry's row, so the next pass shrinks it: each pivot
+        # divides all later ones.
+        passes = ((rows, cols, lt, i, j), (cols, rows, rt, j, i))
+        while True:
+            p = rows[i][j]
+            for lines, mirror, t, k0, l0 in passes:
+                cross = mirror[l0]
+                bad = min((k for k, v in cross.items() if k != k0 and v % p), default=None)
+                if bad is not None:
+                    b = cross[bad]
+                    g, x, y = xgcd(p, b)
+                    pair(lines, mirror, t, k0, bad, x, y, -(b // g), p // g)
+                    break
+                for k, v in [(k, v) for k, v in cross.items() if k != k0]:
+                    addmul(lines, mirror, t, k, k0, -(v // p))
+            else:
+                if p in (1, -1):
+                    break
+                bad = next((k for k, r in enumerate(rows) if any(v % p for v in r.values())), None)
+                if bad is None:
+                    break
+                addmul(rows, cols, lt, i, bad, 1)
+        v = rows[i].pop(j)
+        cols[j].pop(i)
+        if v < 0:
+            v = -v
+            _dict_scale(lt[i], -1)
+        pivots.append((i, j, v))
+
+    d = tuple(v for _, _, v in pivots)
+    pivot_rows = [i for i, _, _ in pivots]
+    pivot_cols = [j for _, j, _ in pivots]
+    row_order = pivot_rows + sorted(set(range(m)) - set(pivot_rows))
+    col_order = pivot_cols + sorted(set(range(n)) - set(pivot_cols))
+    left = SparseIntMatrix(m, m)
+    for new_i, old_i in enumerate(row_order):
+        for jj, v in lt[old_i].items():
+            left._cols[jj][new_i] = v
+    right = SparseIntMatrix._adopt(n, [rt[old_j] for old_j in col_order])
     return SNFResult(d=d, left=left, right=right, rank=len(d))
 
 
 def invariant_factors(a: SparseIntMatrix) -> tuple[int, ...]:
-    """Invariant factors of ``a`` (Smith diagonal without the transforms)."""
-    d, _, _ = _smith(a, want_transforms=False, pivot_order="markowitz")
-    return d
+    """Invariant factors of ``a``: the diagonal of its
+    :func:`smith_normal_form`."""
+    return smith_normal_form(a).d
 
 
 def chain_invariant_factors(d: Sequence[SparseIntMatrix]) -> list[tuple[int, ...]]:
@@ -582,120 +678,6 @@ def chain_invariant_factors(d: Sequence[SparseIntMatrix]) -> list[tuple[int, ...
             )
         out.append((1,) * pairs[n] + residual)
     return out
-
-
-def _smith(
-    a: SparseIntMatrix, want_transforms: bool, pivot_order: str
-) -> tuple[tuple[int, ...], SparseIntMatrix | None, SparseIntMatrix | None]:
-    if pivot_order not in ("markowitz", "ordered"):
-        raise ValueError(f"unknown pivot order: {pivot_order!r}")
-    m, n = a.nrows, a.ncols
-    rows: list[dict[int, int]] = [{} for _ in range(m)]
-    cols: list[dict[int, int]] = [{} for _ in range(n)]
-    for j in range(n):
-        for i, v in a._cols[j].items():
-            rows[i][j] = v
-            cols[j][i] = v
-    lt: list[dict[int, int]] | None = None
-    rt: list[dict[int, int]] | None = None
-    if want_transforms:
-        lt = [{i: 1} for i in range(m)]  # row dicts of the cumulative left transform
-        rt = [{j: 1} for j in range(n)]  # column dicts of the cumulative right transform
-
-    # Each move acts on lines of one store, keeps the other store's mirror
-    # entries in step and carries the transform on that side: row moves are
-    # called as (rows, cols, lt), column moves as (cols, rows, rt).
-
-    def addmul(lines, mirror, t, dst: int, src: int, f: int) -> None:
-        # line dst += f * line src
-        if not f:
-            return
-        line = lines[dst]
-        for k, v in lines[src].items():
-            w = line.get(k, 0) + f * v
-            if w:
-                line[k] = w
-                mirror[k][dst] = w
-            else:
-                del line[k]
-                del mirror[k][dst]
-        if t is not None:
-            _dict_addmul(t[dst], t[src], f)
-
-    def pair(lines, mirror, t, k1: int, k2: int, x: int, y: int, z: int, w: int) -> None:
-        # (line k1, line k2) <- (x*l1 + y*l2, z*l1 + w*l2); det must be +-1
-        for k in (k1, k2):
-            for l in lines[k]:
-                del mirror[l][k]
-        lines[k1], lines[k2] = _combine(lines[k1], lines[k2], x, y, z, w)
-        for k in (k1, k2):
-            for l, v in lines[k].items():
-                mirror[l][k] = v
-        if t is not None:
-            t[k1], t[k2] = _combine(t[k1], t[k2], x, y, z, w)
-
-    # Every move combines nonempty lines, so an empty row stays empty, and
-    # a pivot's row is empty once the pivot is taken: one pass finds them all.
-    order = range(m)
-    if pivot_order == "markowitz":
-        order = sorted(order, key=lambda i: len(rows[i]))
-    pivots: list[tuple[int, int, int]] = []
-    for i in order:
-        row = rows[i]
-        if not row:
-            continue
-        if pivot_order == "ordered":
-            j = min(row)
-        else:
-            j = min(row, key=lambda l: (len(cols[l]), abs(row[l]), l))
-        # clear the pivot's column with row moves, then its row with column
-        # moves; a non-divisible entry takes a gcd pair move and restarts.
-        # Then a pivot other than +-1 that fails to divide a remaining entry
-        # takes in that entry's row, so the next pass shrinks it: each pivot
-        # divides all later ones.
-        passes = ((rows, cols, lt, i, j), (cols, rows, rt, j, i))
-        while True:
-            p = rows[i][j]
-            for lines, mirror, t, k0, l0 in passes:
-                cross = mirror[l0]
-                bad = min((k for k, v in cross.items() if k != k0 and v % p), default=None)
-                if bad is not None:
-                    b = cross[bad]
-                    g, x, y = xgcd(p, b)
-                    pair(lines, mirror, t, k0, bad, x, y, -(b // g), p // g)
-                    break
-                for k, v in [(k, v) for k, v in cross.items() if k != k0]:
-                    addmul(lines, mirror, t, k, k0, -(v // p))
-            else:
-                if p in (1, -1):
-                    break
-                bad = next((k for k, r in enumerate(rows) if any(v % p for v in r.values())), None)
-                if bad is None:
-                    break
-                addmul(rows, cols, lt, i, bad, 1)
-        v = rows[i].pop(j)
-        cols[j].pop(i)
-        if v < 0:
-            v = -v
-            if lt is not None:
-                _dict_scale(lt[i], -1)
-        pivots.append((i, j, v))
-
-    d = tuple(v for _, _, v in pivots)
-    if not want_transforms:
-        return d, None, None
-
-    assert lt is not None and rt is not None
-    pivot_rows = [i for i, _, _ in pivots]
-    pivot_cols = [j for _, j, _ in pivots]
-    row_order = pivot_rows + sorted(set(range(m)) - set(pivot_rows))
-    col_order = pivot_cols + sorted(set(range(n)) - set(pivot_cols))
-    left = SparseIntMatrix(m, m)
-    for new_i, old_i in enumerate(row_order):
-        for jj, v in lt[old_i].items():
-            left._cols[jj][new_i] = v
-    right = SparseIntMatrix._adopt(n, [rt[old_j] for old_j in col_order])
-    return d, left, right
 
 
 def determinant(a: SparseIntMatrix) -> int:

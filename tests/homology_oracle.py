@@ -11,10 +11,11 @@ relation matrix. All three start from the same boundary matrices and
 end in a Smith normal form (the library's on the unit-free residual
 only); in between, the reduction shares no code with either oracle.
 
-Coordinates: the library builds the infimum and supremum on facet
-coordinates (n-hyperedges and facets of (n+1)-hyperedges). The oracles
-here build them, as the library once did, inside the chain complex of
-the whole downward closure, with the closure itself as coordinates.
+Coordinates: the library builds the infimum on the hyperedges alone and
+the supremum on facet coordinates (n-hyperedges and facets of
+(n+1)-hyperedges). The oracles here build both, as the library once
+did, inside the chain complex of the whole downward closure, with the
+closure itself as coordinates.
 
 Boundaries: the library reads a cell's signed faces off its chain type,
 for simplices and simplex pairs alike. The oracles here write the two

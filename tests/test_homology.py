@@ -137,8 +137,14 @@ def test_boundary_squares_to_zero_everywhere(h):
 @settings(max_examples=30)
 @given(small_hypergraphs(), sparse_wide_hypergraphs(), small_pairs(), st.data())
 def test_boundaries_match_the_face_rule_oracles(h, wide, pair, data):
-    # facet coordinates (with overflow rows), closures, and simplex pairs
-    for c in (h.coordinates, wide.coordinates, h.closure.coordinates):
+    # hyperedge and facet coordinates (with overflow rows), closures, and
+    # simplex pairs
+    for c in (
+        h.coordinates,
+        facet_coordinates(h),
+        facet_coordinates(wide),
+        h.closure.coordinates,
+    ):
         for n in range(c.top_degree + 1):
             assert boundary_matrix(c, n) == oracle_boundary_matrix(c, n)
     ctx = TensorContext.from_hypergraphs(*pair)
@@ -203,6 +209,22 @@ def test_membership_outside_the_degrees_is_refused():
             m.contains(n, {})
 
 
+@pytest.mark.parametrize("verify", [False, True])
+def test_only_the_supremum_builds_facet_coordinates(spy, verify):
+    box = product_boxtimes(*tensor_membership_pair())
+    facets = spy(homology, "facet_coordinates")
+    columns = spy(homology, "boundary_matrix")
+    embedded_homology(box, verify=verify)
+    assert len(facets) == verify
+    # the infimum builds one boundary column per hyperedge of the product,
+    # and with verify the supremum's facet coordinates take the other calls
+    inf_columns = [
+        len(c.simplices_of_dim(n)) for (c, n), _ in columns if c is box.coordinates
+    ]
+    assert sum(inf_columns) == len(box.edges)
+    assert len(columns) == len(inf_columns) * (1 + verify)
+
+
 # ---------------------------------------------------------------- supremum
 
 
@@ -226,10 +248,14 @@ def test_sup_of_closed_complex_is_full_span():
 
 def test_coordinates_are_hyperedges_and_their_facets():
     h = parse_hypergraph("v0\nv0 v1 v2\n")
-    assert h.coordinates.simplices == (((0,),), ((0, 1), (0, 2), (1, 2)), ((0, 1, 2),), ())
+    # the infimum's coordinates are the hyperedges, the supremum's add
+    # their facets
+    assert h.coordinates.simplices == (((0,),), (), ((0, 1, 2),), ())
+    c = facet_coordinates(h)
+    assert c.simplices == (((0,),), ((0, 1), (0, 2), (1, 2)), ((0, 1, 2),), ())
     # the faces {v1} and {v2} are no coordinates of degree 0: each gets an
     # overflow row after the row of {v0}
-    d1 = h.coordinates.boundaries[1]
+    d1 = c.boundaries[1]
     assert d1.nrows == 3
     assert [d1.column(j) for j in range(3)] == [{0: -1, 1: 1}, {0: -1, 2: 1}, {1: -1, 2: 1}]
 
@@ -237,7 +263,8 @@ def test_coordinates_are_hyperedges_and_their_facets():
 @settings(max_examples=40)
 @given(small_hypergraphs())
 def test_a_complex_is_its_own_facet_coordinates(h):
-    # the general facet route is the reference for the complex's override
+    # a complex's hyperedges are all its simplices, so adding the facets
+    # adds nothing
     k = associated_complex(h)
     want = facet_coordinates(k)
     assert k.coordinates == want
@@ -246,7 +273,7 @@ def test_a_complex_is_its_own_facet_coordinates(h):
 
 def test_face_outside_the_coordinates_is_refused():
     h = parse_hypergraph("v0\nv0 v1 v2\n")
-    c = h.coordinates
+    c = facet_coordinates(h)
     # the bare facet {v0,v1}: its face {v1} is no coordinate of degree 0,
     # so only an overflow row shows that its image leaves the span of {v0}
     facet = SparseIntMatrix.from_columns(3, [{c.simplex_positions(1)[(0, 1)]: 1}])
@@ -306,7 +333,7 @@ def test_a_boundary_outside_the_lattice_is_refused():
     ids=["outside-the-lattice", "outside-the-coordinates"],
 )
 def test_a_refusal_names_the_first_failing_column(edges, bases, message):
-    m = GradedSubmodule(parse_hypergraph(edges).coordinates, bases)
+    m = GradedSubmodule(facet_coordinates(parse_hypergraph(edges)), bases)
     with pytest.raises(IntegrityError, match=message):
         restricted_boundaries(m)
 

@@ -439,14 +439,16 @@ def test_kernel_worked_examples():
 
     # oriented triangle cycle: edges {01},{02},{12}
     d1 = SparseIntMatrix.from_rows([[-1, -1, 0], [1, 0, -1], [0, 1, 1]])
-    k = kernel_basis(d1)
-    assert k.ncols == 1
-    col = [k.entry(i, 0) for i in range(3)]
-    assert col == [1, -1, 1] or col == [-1, 1, -1]
+    assert dense(kernel_basis(d1)) == [[1], [-1], [1]]
 
     # saturation: 2x = 0 forces x = 0, the free coordinate stays primitive
     a = SparseIntMatrix.from_rows([[2, 0]])
     assert dense(kernel_basis(a)) == [[0], [1]]
+
+    # the tail row as inserted is (-3, 2), with a negative pivot: the
+    # Hermite pass over the tail rows is what makes it canonical
+    a = SparseIntMatrix.from_rows([[2, 3]])
+    assert dense(kernel_basis(a)) == [[3], [-2]]
 
 
 @given(int_matrices())
