@@ -14,8 +14,9 @@ infimum lives on the hyperedges themselves (``h.coordinates``): its
 degree-n basis is the kernel of the boundary of the n-hyperedges with
 every (n-1)-hyperedge row projected away. The supremum lives on the
 facet coordinates: the n-hyperedges together with the facets of the
-(n+1)-hyperedges. Boundaries are written on either, with an overflow row
-for each face outside the coordinates, so no face is ever dropped.
+(n+1)-hyperedges. :func:`rule_matrix` writes a cell rule, the boundary
+or a chain map of :mod:`hyperhom.kunneth`, as a matrix with an overflow
+row for each image cell outside the coordinates: none is ever dropped.
 
 Either complex is a chain complex of free modules once its boundaries
 are written in the submodule's own basis (the restricted boundaries).
@@ -171,15 +172,20 @@ class ChainElement:
         return type(self)(self.degree, {s: c for s, c in acc.items() if c})
 
 
-def chain_boundary(c: ChainElement) -> ChainElement:
-    """Boundary of a chain, purely combinatorial: each cell goes to its
-    signed faces. Degree 0 maps to the (empty) degree -1 chain."""
+def apply_rule(rule, c: ChainElement, chain: type, degree: int) -> ChainElement:
+    """A cell rule on chains: each cell of ``c`` goes to its signed image
+    cells ``rule(cell)``, summed into a ``chain`` of ``degree``."""
     acc: dict = {}
-    faces = c.faces
     for s, v in c.coeffs.items():
-        for f, sign in faces(s):
+        for f, sign in rule(s):
             acc[f] = acc.get(f, 0) + sign * v
-    return type(c)(c.degree - 1, {f: v for f, v in acc.items() if v})
+    return chain(degree, {f: v for f, v in acc.items() if v})
+
+
+def chain_boundary(c: ChainElement) -> ChainElement:
+    """Boundary of a chain: each cell goes to its signed faces. Degree 0
+    maps to the (empty) degree -1 chain."""
+    return apply_rule(c.faces, c, type(c), c.degree - 1)
 
 
 def render_chain(c: ChainElement, k: SimplicialComplex) -> str:
@@ -198,35 +204,34 @@ def render_chain(c: ChainElement, k: SimplicialComplex) -> str:
 # --------------------------------------------------------------- boundaries
 
 
-def boundary_matrix(k: Coordinates, n: int) -> SparseIntMatrix:
-    """Matrix of the boundary from degree-n chains to degree-(n-1) chains
-    on the coordinates ``k``.
-
-    Columns follow the canonical degree-n cell order, rows the degree
-    n-1 order; each entry is the sign of a face, as ``k.chain.faces``
-    gives it. Degree 0 maps to the zero module, so the matrix has no
-    rows. When ``k`` is not closed under faces (a hypergraph's
-    coordinates, or facet coordinates), every face outside its
-    degree-(n-1) cells gets its own overflow row after theirs, in order
-    of first occurrence; a complex has none.
-    """
-    if n < 0:
-        raise ValueError("degree must be non-negative")
-    cols = k.simplices_of_dim(n)
-    pos = k.simplex_positions(n - 1)
-    faces = k.chain.faces
+def rule_matrix(rule, cells: Sequence, pos: dict, support: Iterable[int]) -> SparseIntMatrix:
+    """Matrix of a cell rule: for j in ``support``, column j holds
+    ``rule(cells[j])``, a cell's signed image cells (each at most once),
+    in the rows ``pos`` names, and an image cell outside ``pos`` gets an
+    overflow row after them, in order of first occurrence. Columns off
+    the support stay empty."""
     overflow: dict = {}
-    out: list[dict[int, int]] = []
-    for s in cols:
+    out: list[dict[int, int]] = [{}] * len(cells)
+    for j in support:
         col: dict[int, int] = {}
-        # the faces of one cell are distinct
-        for f, sign in faces(s):
+        for f, sign in rule(cells[j]):
             i = pos.get(f)
             if i is None:
                 i = overflow.setdefault(f, len(pos) + len(overflow))
             col[i] = sign
-        out.append(col)
+        out[j] = col
     return SparseIntMatrix._adopt(len(pos) + len(overflow), out)
+
+
+def boundary_matrix(k: Coordinates, n: int) -> SparseIntMatrix:
+    """The boundary from degree-n to degree-(n-1) chains on the
+    coordinates ``k``: the :func:`rule_matrix` of ``k.chain.faces`` on
+    every degree-n cell. Degree 0 maps to the zero module (no rows), and
+    a complex has no overflow rows."""
+    if n < 0:
+        raise ValueError("degree must be non-negative")
+    cells = k.simplices_of_dim(n)
+    return rule_matrix(k.chain.faces, cells, k.simplex_positions(n - 1), range(len(cells)))
 
 
 class Coordinates:
@@ -273,10 +278,6 @@ class Coordinates:
                 return None
             out[pos[s]] = v
         return out
-
-    def from_vector(self, n: int, vec: dict[int, int]) -> ChainElement:
-        cells = self.simplices_of_dim(n)
-        return self.chain(n, {cells[i]: v for i, v in vec.items() if v})
 
 
 @dataclass(frozen=True)
@@ -379,32 +380,31 @@ class GradedSubmodule:
 
 
 def map_in_bases(
-    source: GradedSubmodule, target: GradedSubmodule, image, shift: int, refusals: tuple[str, str]
+    source: GradedSubmodule, target: GradedSubmodule, maps: Sequence[SparseIntMatrix],
+    shift: int, refusals: tuple[str, str],
 ) -> list[SparseIntMatrix]:
     """A graded map in two bases: column j of entry n holds the
-    degree-(n+shift) target-basis coefficients of the image of source
-    basis column j. ``image(n, column)`` gives the image's target
-    coordinates, or None off them; a zero image is not solved. An image
-    off the coordinates or outside the target lattice raises
-    IntegrityError with ``refusals[0]`` or ``refusals[1]``, formatted
-    with n, j and k = n + shift.
-
-    ``image`` reads the basis column itself and must not change it. Each
-    degree is one pass: the target solver is fetched on the first nonzero
-    image, and the solved columns, in range and nonzero by construction,
-    become the matrix as they are."""
+    degree-(n+shift) target-basis coefficients of ``maps[n]`` times source
+    basis column j, where ``maps[n]`` has the target coordinates as rows,
+    then overflow rows. An overflow entry, or an image outside the target
+    lattice, raises IntegrityError with ``refusals[0]`` or ``refusals[1]``,
+    formatted with n, j and k = n + shift. Each degree is one pass: the
+    target solver is fetched on the first nonzero image (a zero one is not
+    solved), and the solved columns become the matrix as they are."""
     out = []
     for n, basis in enumerate(source.bases):
         k = n + shift
+        rows = len(target.coordinates.simplices_of_dim(k))
+        apply = maps[n].apply_to_column
         solver = None
         cols: list[dict[int, int]] = []
         for j, column in enumerate(basis._cols):
-            vec = image(n, column)
-            if vec is None:
-                raise IntegrityError(refusals[0].format(n=n, j=j, k=k))
+            vec = apply(column)
             if not vec:
                 cols.append({})
                 continue
+            if max(vec) >= rows:
+                raise IntegrityError(refusals[0].format(n=n, j=j, k=k))
             if solver is None:
                 solver = target.solver(k)
             coeffs = solver.solve(vec)
@@ -417,19 +417,13 @@ def map_in_bases(
 
 def restricted_boundaries(m: GradedSubmodule) -> list[SparseIntMatrix]:
     """Boundary matrices in the submodule's own basis coordinates:
-    :func:`map_in_bases` applied to the boundary, so entry n maps degree-n
+    :func:`map_in_bases` applied to the boundaries, so entry n maps degree-n
     to degree-(n-1) basis coefficients. Raises IntegrityError if some
     boundary image leaves the submodule, i.e. the chain-complex property
     fails; an image with an entry in an overflow row (a face outside the
     coordinates below) leaves it too.
     """
-    c = m.coordinates
-
-    def boundary(n: int, column: dict[int, int]) -> dict[int, int] | None:
-        img = c.boundaries[n].apply_to_column(column)
-        return None if img and max(img) >= len(c.simplices_of_dim(n - 1)) else img
-
-    return map_in_bases(m, m, boundary, -1, (
+    return map_in_bases(m, m, m.coordinates.boundaries, -1, (
         "boundary of degree-{n} basis column {j} has a face outside the degree-{k} coordinates",
         "boundary of degree-{n} basis column {j} leaves the submodule",
     ))

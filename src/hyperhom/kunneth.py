@@ -4,9 +4,12 @@ and the product complex, and the Kunneth verification.
 The shuffle map sends a tensor of simplices to a signed sum over
 monotone lattice paths in the product complex; the front/back-face map
 goes the other way by splitting each product simplex at every corner
-and dropping degenerate factors. The composite front/back after
-shuffle is the identity on the nose, which is what makes the embedded
-homology of a product computable from the factors.
+and dropping degenerate factors. Both are cell rules on a
+:class:`TensorContext`, as the boundary is on a chain type: ``ez_map``
+and ``aw_map`` apply them to chains, and the chain-map check writes
+them as matrices. The composite front/back after shuffle is the
+identity on the nose, which is what makes the embedded homology of a
+product computable from the factors.
 
 The headline check: for hypergraphs h, h2 and every degree n, the
 embedded homology of the lattice-path product equals the direct sum of
@@ -28,9 +31,11 @@ from .homology import (
     Coefficient,
     Coordinates,
     GradedSubmodule,
+    apply_rule,
     embedded_homology,
     inf_bases_of_span,
     map_in_bases,
+    rule_matrix,
 )
 from .hypergraph import Hypergraph, SimplicialComplex, lattice_paths, product_boxtimes
 from .intlinalg import SparseIntMatrix
@@ -77,7 +82,7 @@ class TensorContext(Coordinates):
     complexes: per degree n, one cell per simplex pair with dimensions
     summing to n, blocks ordered by ascending left dimension and
     lexicographically inside each block. The two factors are also all
-    the shuffle and front/back-face maps read of the pair."""
+    the shuffle and front/back-face rules read of the pair."""
 
     chain = TensorChain
     left: SimplicialComplex
@@ -100,51 +105,38 @@ class TensorContext(Coordinates):
             out.append(tuple(block))
         return tuple(out)
 
-
-ProductContext = TensorContext  # the name acceptance criterion 2 reads
-
-
-# --------------------------------------------------------- the two maps
-
-
-def ez_map(t: TensorChain, ctx: TensorContext) -> ChainElement:
-    """Shuffle a tensor chain into the product complex: each simplex
-    tensor contributes one staircase per monotone lattice path, signed
-    by (-1) to the number of grid squares below the path. Product vertex
-    (a, b) has index a * width + b, as in :func:`product_boxtimes`."""
-    width = len(ctx.right.vertices)
-    acc: dict[tuple[int, ...], int] = {}
-    for (s, u), c in t.terms.items():
-        if s not in ctx.left.simplex_positions(len(s) - 1):
+    def shuffle(self, pair: SimplexPair) -> list[tuple[tuple[int, ...], int]]:
+        """The shuffle map's cell rule: s (x) u goes to one staircase per
+        monotone lattice path, signed by (-1) to the number of grid squares
+        below the path. Product vertex (a, b) has index a * width + b, as
+        in :func:`product_boxtimes`."""
+        s, u = pair
+        if s not in self.left.simplex_positions(len(s) - 1):
             raise ValueError(f"{s} is not a simplex of the left factor")
-        if u not in ctx.right.simplex_positions(len(u) - 1):
+        if u not in self.right.simplex_positions(len(u) - 1):
             raise ValueError(f"{u} is not a simplex of the right factor")
-        for points, area in lattice_paths(len(s) - 1, len(u) - 1):
-            key = tuple(s[a] * width + u[b] for a, b in points)
-            acc[key] = acc.get(key, 0) + (c if area % 2 == 0 else -c)
-    return ChainElement(t.degree, {k: v for k, v in acc.items() if v})
+        width = len(self.right.vertices)
+        return [
+            (tuple(s[a] * width + u[b] for a, b in points), -1 if area % 2 else 1)
+            for points, area in lattice_paths(len(s) - 1, len(u) - 1)
+        ]
 
-
-def aw_map(c: ChainElement, ctx: TensorContext) -> TensorChain:
-    """Split each product simplex at every corner into a front left
-    face tensor a back right face; faces with a repeated vertex are
-    degenerate and contribute nothing. No signs appear.
-
-    The product complex is the cartesian product of the factor
-    complexes: a simplex is a strictly increasing chain of vertex pairs
-    (both coordinates weakly increase) whose two projections are factor
-    simplices."""
-    width = len(ctx.right.vertices)
-    acc: dict[SimplexPair, int] = {}
-    for sx, v in c.coeffs.items():
+    def front_back(self, sx: tuple[int, ...]) -> list[tuple[SimplexPair, int]]:
+        """The front/back-face map's cell rule: a product simplex splits at
+        every corner into a front left face tensor a back right face, with
+        no signs; a face with a repeated vertex is degenerate and dropped.
+        A product simplex is a strictly increasing chain of vertex pairs
+        (both coordinates weakly increase) whose two projections are
+        factor simplices."""
+        width = len(self.right.vertices)
         if any(y <= x or y % width < x % width for x, y in zip(sx, sx[1:])):
             raise ValueError(f"vertex pairs of {sx} are not monotone")
         lefts = [x // width for x in sx]
         rights = [x % width for x in sx]
         s, u = tuple(dict.fromkeys(lefts)), tuple(dict.fromkeys(rights))
         if (
-            s not in ctx.left.simplex_positions(len(s) - 1)
-            or u not in ctx.right.simplex_positions(len(u) - 1)
+            s not in self.left.simplex_positions(len(s) - 1)
+            or u not in self.right.simplex_positions(len(u) - 1)
         ):
             raise ValueError(f"{sx} is not a simplex of the product complex")
         # the front lefts[:k+1] is degenerate once it takes a step that
@@ -153,10 +145,23 @@ def aw_map(c: ChainElement, ctx: TensorContext) -> TensorChain:
         steps = range(len(sx) - 1)
         first = next((j for j in steps if lefts[j] == lefts[j + 1]), len(sx) - 1)
         last = max((j + 1 for j in steps if rights[j] == rights[j + 1]), default=0)
-        for k in range(last, first + 1):
-            key = (tuple(lefts[: k + 1]), tuple(rights[k:]))
-            acc[key] = acc.get(key, 0) + v
-    return TensorChain(c.degree, {k: v for k, v in acc.items() if v})
+        return [((tuple(lefts[: k + 1]), tuple(rights[k:])), 1) for k in range(last, first + 1)]
+
+
+ProductContext = TensorContext  # the name acceptance criterion 2 reads
+
+
+# --------------------------------------------------------- the two maps
+
+
+def ez_map(t: TensorChain, ctx: TensorContext) -> ChainElement:
+    """The shuffle map on a tensor chain, see :meth:`TensorContext.shuffle`."""
+    return apply_rule(ctx.shuffle, t, ChainElement, t.degree)
+
+
+def aw_map(c: ChainElement, ctx: TensorContext) -> TensorChain:
+    """The front/back-face map on a product chain, see :meth:`TensorContext.front_back`."""
+    return apply_rule(ctx.front_back, c, TensorChain, c.degree)
 
 
 # ----------------------------------------------------- Inf of the tensor
@@ -349,42 +354,43 @@ def _require_equal(got: SparseIntMatrix, want: SparseIntMatrix, n: int, what: st
         raise IntegrityError(f"{what} basis column {j} (degree {n})")
 
 
+def _chain_map(rule, source: GradedSubmodule, target: GradedSubmodule, refusal: str) -> list:
+    """A degree-preserving cell rule in the two bases (see
+    :func:`~hyperhom.homology.map_in_bases`), from its rule matrices on the
+    cells the source basis reaches; ``refusal`` words both refusals."""
+    c, rows = source.coordinates, target.coordinates
+    maps = []
+    for n, b in enumerate(source.bases):
+        support = sorted({i for x in b._cols for i in x})
+        maps.append(rule_matrix(rule, c.simplices_of_dim(n), rows.simplex_positions(n), support))
+    return map_in_bases(source, target, maps, 0, (refusal, refusal))
+
+
 def restricted_chainmap_check(
     h: Hypergraph, h2: Hypergraph, verify: bool = False
 ) -> ChainMapReport:
     """Verify the chain-map identities on the infimum bases.
 
     The shuffle map becomes matrices EZ[n] from the tensor to the product
-    infimum basis, the front/back-face map AW[n] back, both written by
-    :func:`~hyperhom.homology.map_in_bases` as the restricted boundaries
-    are; an image outside the other infimum raises. With dT, dP the
-    restricted boundaries, each degree checks dP[n] EZ[n] = EZ[n-1] dT[n],
-    dT[n] AW[n] = AW[n-1] dP[n] and AW[n] EZ[n] = 1, which hold exactly
-    when the chain identities hold on each basis chain (solves are exact,
-    basis columns independent). A failure raises IntegrityError naming
-    the first offending column. With ``verify`` the tensor infimum is
-    also recomputed directly, see :func:`inf_tensor_basis`.
+    infimum basis and the front/back-face map AW[n] back (see
+    :func:`_chain_map`); an image outside the other infimum raises. With
+    dT, dP the restricted boundaries, each degree checks dP[n] EZ[n] =
+    EZ[n-1] dT[n], dT[n] AW[n] = AW[n-1] dP[n] and AW[n] EZ[n] = 1, which
+    hold exactly when the chain identities hold on each basis chain
+    (solves are exact, basis columns independent). A failure raises
+    IntegrityError naming the first offending column. With ``verify`` the
+    tensor infimum is also recomputed directly, see :func:`inf_tensor_basis`.
     """
     tensor_inf = inf_tensor_basis(h, h2, verify=verify)
     ctx = tensor_inf.coordinates
     product_inf = product_boxtimes(h, h2).inf
-    coords = product_inf.coordinates
-
-    def shuffle(n: int, column: dict[int, int]) -> dict[int, int] | None:
-        return coords.to_vector(ez_map(ctx.from_vector(n, column), ctx))
-
-    def front_back(n: int, column: dict[int, int]) -> dict[int, int] | None:
-        return ctx.to_vector(aw_map(coords.from_vector(n, column), ctx))
-
-    # one wording refuses an image off the other side's coordinates and
-    # one outside its lattice
-    ez = map_in_bases(tensor_inf, product_inf, shuffle, 0, (
-        "shuffle image of tensor basis column {j} (degree {n}) is outside the product infimum",
-    ) * 2)
-    aw = map_in_bases(product_inf, tensor_inf, front_back, 0, (
+    ez = _chain_map(ctx.shuffle, tensor_inf, product_inf, (
+        "shuffle image of tensor basis column {j} (degree {n}) is outside the product infimum"
+    ))
+    aw = _chain_map(ctx.front_back, product_inf, tensor_inf, (
         "front/back-face image of product basis column {j} (degree {n}) "
-        "is outside the tensor infimum",
-    ) * 2)
+        "is outside the tensor infimum"
+    ))
     d_t, d_p = tensor_inf.restricted, product_inf.restricted
     for n in range(tensor_inf.top_degree + 1):
         if n:

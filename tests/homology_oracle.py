@@ -47,12 +47,21 @@ which solves each image with ``LatticeSolver``.
 boundary matrices and solves with :class:`OracleSolver`, so
 :func:`oracle_submodule_homology` shares neither step with the library.
 
-Chain maps: the library writes the shuffle and front/back-face maps in
-the two infimum bases and checks the chain-map identities as matrix
-equalities. :func:`oracle_chainmap_check` checks them as the library
-once did, one basis chain at a time: map it, take chain boundaries on
-both sides, and map back. It calls the maps through the ``kunneth``
-module, so a map planted there reaches both routes.
+Chain maps: the library writes the shuffle and front/back-face maps as
+cell rules (``TensorContext.shuffle`` and ``front_back``), turns them
+into matrices on the cells the infimum bases reach, and checks the
+chain-map identities as matrix equalities. :func:`oracle_chainmap_check`
+checks them as the library once did, one basis chain at a time: map it
+with ``ez_map``/``aw_map``, take chain boundaries on both sides, and map
+back. Both routes read the same two rules, so a rule planted on
+``TensorContext`` reaches both; :func:`oracle_shuffle` and
+:func:`oracle_front_back` check the rules themselves. The shuffle oracle
+sums over (p, q)-shuffle permutations signed by their sign, where the
+library signs lattice paths by their area; the front/back-face oracle
+tries every split and drops degenerate faces, where the library
+computes the range of splits that survive. :func:`from_vector` turns a
+coordinate vector back into a chain, which only these chain-level
+routes need.
 """
 
 from __future__ import annotations
@@ -63,6 +72,8 @@ import hyperhom.kunneth as kunneth
 from hyperhom.abelian import FGAbelianGroup, from_presentation
 from hyperhom.errors import IntegrityError
 from hyperhom.homology import (
+    ChainElement,
+    Coordinates,
     GradedSubmodule,
     SimplexCoordinates,
     boundary_matrix,
@@ -335,6 +346,51 @@ def oracle_tensor_boundary_matrix(ctx: TensorContext, n: int) -> SparseIntMatrix
     return SparseIntMatrix.from_columns(len(pos), cols)
 
 
+def from_vector(coords: Coordinates, n: int, vec: dict[int, int]) -> ChainElement:
+    """The degree-n chain of ``coords.chain`` with coordinate vector ``vec``."""
+    cells = coords.simplices_of_dim(n)
+    return coords.chain(n, {cells[i]: v for i, v in vec.items() if v})
+
+
+def oracle_shuffle(ctx: TensorContext, pair: SimplexPair) -> dict[tuple[int, ...], int]:
+    """The shuffle image of s (x) u, summed over the (p, q)-shuffles: each
+    choice of which p of the p + q steps advance the left vertex (the
+    others advance the right one) gives a product simplex, signed by the
+    sign of the permutation that lists the left steps, then the right
+    steps, each in increasing order."""
+    s, u = pair
+    p, q = len(s) - 1, len(u) - 1
+    width = len(ctx.right.vertices)
+    out: dict[tuple[int, ...], int] = {}
+    for left_steps in itertools.combinations(range(p + q), p):
+        perm = list(left_steps) + [t for t in range(p + q) if t not in left_steps]
+        inversions = sum(1 for i, j in itertools.combinations(perm, 2) if i > j)
+        a = b = 0
+        vertices = [s[0] * width + u[0]]
+        for t in range(p + q):
+            if t in left_steps:
+                a += 1
+            else:
+                b += 1
+            vertices.append(s[a] * width + u[b])
+        out[tuple(vertices)] = -1 if inversions % 2 else 1
+    return out
+
+
+def oracle_front_back(ctx: TensorContext, sx: tuple[int, ...]) -> dict[SimplexPair, int]:
+    """The front/back-face image of a product simplex: for every split k,
+    the left projection of vertices 0..k tensor the right projection of
+    vertices k..n, unless either repeats a vertex."""
+    width = len(ctx.right.vertices)
+    out: dict[SimplexPair, int] = {}
+    for k in range(len(sx)):
+        front = tuple(x // width for x in sx[: k + 1])
+        back = tuple(x % width for x in sx[k:])
+        if len(set(front)) == len(front) and len(set(back)) == len(back):
+            out[(front, back)] = 1
+    return out
+
+
 def oracle_chainmap_check(h: Hypergraph, h2: Hypergraph) -> ChainMapReport:
     """The chain-map identities, checked chain by chain on every basis
     column. For each tensor infimum basis chain x: the shuffle image
@@ -350,7 +406,7 @@ def oracle_chainmap_check(h: Hypergraph, h2: Hypergraph) -> ChainMapReport:
     for n in range(tensor_inf.top_degree + 1):
         tb = tensor_inf.bases[n]
         for j in range(tb.ncols):
-            x = ctx.from_vector(n, tb.column(j))
+            x = from_vector(ctx, n, tb.column(j))
             mx = kunneth.ez_map(x, ctx)
             vec = coords.to_vector(mx)
             if vec is None or not product_inf.contains(n, vec):
@@ -368,7 +424,7 @@ def oracle_chainmap_check(h: Hypergraph, h2: Hypergraph) -> ChainMapReport:
             checked_t += 1
         pb = product_inf.bases[n]
         for j in range(pb.ncols):
-            c = coords.from_vector(n, pb.column(j))
+            c = from_vector(coords, n, pb.column(j))
             nc = kunneth.aw_map(c, ctx)
             vec = ctx.to_vector(nc)
             if vec is None or not tensor_inf.contains(n, vec):

@@ -7,6 +7,7 @@ import pytest
 import hyperhom.fuzz as fuzz
 import hyperhom.homology as homology
 import hyperhom.kunneth as kunneth
+from hyperhom.abelian import FGAbelianGroup
 from hyperhom.examples import projective_plane, vertex_hypergraph
 from hyperhom.fuzz import FuzzConfig, check_pair, instance_pair, run_fuzz
 from hyperhom.hypergraph import (
@@ -14,7 +15,7 @@ from hyperhom.hypergraph import (
     hypergraph_from_edges,
     random_hypergraph,
 )
-from hyperhom.intlinalg import rank
+from hyperhom.intlinalg import SparseIntMatrix, rank
 
 
 def test_config_rejects_bad_bounds() -> None:
@@ -80,13 +81,14 @@ def test_check_pair_validates_no_hypergraph_it_builds(spy) -> None:
 def test_shuffle_image_outside_the_product_coordinates_is_a_chain_map_failure(
     monkeypatch,
 ) -> None:
-    real_ez_map = kunneth.ez_map
+    real_shuffle = kunneth.TensorContext.shuffle
 
-    def leaky_ez_map(t, ctx):
-        stray = tuple(range(10**6, 10**6 + t.degree + 1))  # no product vertex
-        return real_ez_map(t, ctx) + homology.ChainElement.of_simplex(stray)
+    def leaky_shuffle(ctx, pair):
+        degree = kunneth.TensorChain.cell_degree(pair)
+        stray = tuple(range(10**6, 10**6 + degree + 1))  # no product vertex
+        return real_shuffle(ctx, pair) + [(stray, 1)]
 
-    monkeypatch.setattr(kunneth, "ez_map", leaky_ez_map)
+    monkeypatch.setattr(kunneth.TensorContext, "shuffle", leaky_shuffle)
     h = hypergraph_from_edges([["v0"], ["v0", "v1"]])
     h2 = hypergraph_from_edges([["w1"], ["w0", "w1"]])
     outcome = check_pair(h, h2)
@@ -100,6 +102,82 @@ def test_universal_coefficient_check_catches_a_wrong_field_rank(monkeypatch) -> 
     monkeypatch.setattr(homology, "rank_mod_p", lambda d, p: rank(d))
     outcome = check_pair(projective_plane(), vertex_hypergraph())
     assert outcome is not None and outcome[0] == "universal-coefficients"
+
+
+def _assert_minimized(report, category: str) -> list:
+    """Every failure of ``report`` is in ``category``, and its witness is
+    minimized: it fails so, and deleting any one hyperedge does not."""
+    assert report.failures
+    for f in report.failures:
+        assert f.category == category
+        pair = (f.left, f.right)
+        outcome = check_pair(*pair)
+        assert outcome is not None and outcome[0] == category
+        for side in (0, 1):
+            for idx in range(len(pair[side].edges)):
+                smaller = fuzz._without_edge(pair[side], idx)
+                if smaller is not None:
+                    trial = (smaller, pair[1]) if side == 0 else (pair[0], smaller)
+                    outcome = check_pair(*trial)
+                    assert outcome is None or outcome[0] != category
+    return list(report.failures)
+
+
+SMALL = FuzzConfig(count=4, seed=3, max_vertices=4, max_dim=2)
+
+
+def test_a_planted_closure_fault_is_reported_minimized(monkeypatch) -> None:
+    # the product of closures forgets every edge of the right factor
+    real = fuzz.product_complex
+
+    def forgets_right_edges(k, k2):
+        return real(k, hypergraph_from_edges([[v] for v in k2.vertices]).closure)
+
+    monkeypatch.setattr(fuzz, "product_complex", forgets_right_edges)
+    for f in _assert_minimized(run_fuzz(SMALL), "closure"):
+        assert len(f.left.edges) == len(f.right.edges) == 1
+        assert len(f.right.edges[0]) >= 2
+
+
+def test_a_planted_supremum_fault_is_reported_minimized(monkeypatch) -> None:
+    # the supremum forgets the boundaries from above: only the hyperedge
+    # span is left, which is boundary-stable only on a closed hypergraph
+    real = homology.lattice_sum_basis
+
+    def span_only(span, image):
+        return real(span, SparseIntMatrix(image.nrows, 0))
+
+    monkeypatch.setattr(homology, "lattice_sum_basis", span_only)
+    for f in _assert_minimized(run_fuzz(SMALL), "inf-sup"):
+        assert "leaves the submodule" in f.detail
+        assert len(f.left.edges) == len(f.right.edges) == 1
+        assert max(len(e) for e in f.left.edges + f.right.edges) >= 2
+
+
+def test_a_planted_ledger_fault_is_reported_minimized(monkeypatch) -> None:
+    # the ledger takes a tensor product where the torsion product belongs
+    monkeypatch.setattr(FGAbelianGroup, "tor", FGAbelianGroup.tensor)
+    for f in _assert_minimized(run_fuzz(SMALL), "kunneth"):
+        assert f.detail == "kunneth mismatch over z"
+        # a vertex on each side: H_0 (x) H_0 = Z, posing as Tor in degree 1
+        assert [len(e) for e in f.left.edges + f.right.edges] == [1, 1]
+
+
+def test_a_planted_crash_is_reported_minimized(monkeypatch) -> None:
+    # every rank mod 3 raises, so one hyperedge per factor is left
+    real = homology.rank_mod_p
+
+    def rank_mod_p(d, p):
+        if p == 3:
+            raise ZeroDivisionError("planted")
+        return real(d, p)
+
+    monkeypatch.setattr(homology, "rank_mod_p", rank_mod_p)
+    report = run_fuzz(SMALL)
+    assert len(report.failures) == SMALL.count
+    for f in _assert_minimized(report, "crash"):
+        assert f.detail == "ZeroDivisionError: planted"
+        assert len(f.left.edges) == len(f.right.edges) == 1
 
 
 def test_small_campaign_is_clean_and_reproducible() -> None:

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 import hyperhom.homology as homology
 from homology_oracle import (
+    from_vector,
     oracle_boundary_matrix,
     oracle_classical_homology,
     oracle_column_hnf,
@@ -41,6 +42,7 @@ from hyperhom.homology import (
     mod_p,
     parse_coefficient,
     restricted_boundaries,
+    rule_matrix,
     submodule_homology,
     sup_chain,
 )
@@ -161,12 +163,24 @@ def test_boundaries_match_the_face_rule_oracles(h, wide, pair, data):
 def test_to_vector_is_none_off_the_cells():
     k = triangle_boundary()
     c = ChainElement(1, {(0, 1): 2, (1, 2): -1})
-    assert k.coordinates.from_vector(1, k.coordinates.to_vector(c)) == c
+    assert from_vector(k.coordinates, 1, k.coordinates.to_vector(c)) == c
     assert k.coordinates.to_vector(ChainElement.of_simplex((0, 1, 2))) is None
     ctx = TensorContext(k, k)
     t = TensorChain(1, {((0,), (1, 2)): 3, ((0, 2), (1,)): -1})
-    assert ctx.from_vector(1, ctx.to_vector(t)) == t
+    assert from_vector(ctx, 1, ctx.to_vector(t)) == t
     assert ctx.to_vector(TensorChain.of_pair((0, 1, 2), (0,))) is None
+
+
+def test_rule_matrix_on_a_support():
+    # the faces of four edges, on the rows of the vertices 1 and 2; the
+    # columns of (0, 1) and (1, 2) are off the support
+    cells = ((0, 1), (1, 2), (0, 3), (2, 4))
+    pos = {(1,): 0, (2,): 1}
+    m = rule_matrix(ChainElement.faces, cells, pos, [2, 3])
+    # faces outside the rows take overflow rows in order of first
+    # occurrence: (0,) -> 2, (3,) -> 3, (4,) -> 4
+    assert m.nrows == 5 and m.ncols == 4
+    assert [m.column(j) for j in range(4)] == [{}, {}, {2: -1, 3: 1}, {1: -1, 4: 1}]
 
 
 # ---------------------------------------------------------------- infimum
@@ -352,14 +366,18 @@ def test_map_in_bases_fetches_each_target_degree_at_most_once(spy):
     restricted_boundaries(m)
     assert fetched() == [0, 1]
     # the identity map with degree 1 sent to zero
-    refusals = ("off {n}", "outside {n}")
-    homology.map_in_bases(m, m, lambda n, col: {} if n == 1 else col, 0, refusals)
+    sizes = [len(cells) for cells in m.coordinates.simplices]
+    maps = [
+        SparseIntMatrix(size, size) if n == 1 else SparseIntMatrix.identity(size)
+        for n, size in enumerate(sizes)
+    ]
+    homology.map_in_bases(m, m, maps, 0, ("off {n}", "outside {n}"))
     assert fetched() == [0, 2]
 
 
 def _basis_chains(m, n):
     b = m.bases[n]
-    return [m.coordinates.from_vector(n, b.column(j)) for j in range(b.ncols)]
+    return [from_vector(m.coordinates, n, b.column(j)) for j in range(b.ncols)]
 
 
 def _assert_matches_closure_oracle(h):

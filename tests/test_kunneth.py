@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import hyperhom.hypergraph as hypergraph
 import hyperhom.kunneth as kunneth
-from homology_oracle import oracle_chainmap_check
+from homology_oracle import oracle_chainmap_check, oracle_front_back, oracle_shuffle
 from hyperhom.examples import (
     homology_demo_pair,
     projective_plane,
@@ -432,6 +432,34 @@ def _chainmap_outcome(check, pair):
     return report.tensor_columns_checked, report.product_columns_checked
 
 
+@settings(max_examples=30)
+@given(small_pairs())
+def test_cell_rules_match_the_oracles(pair):
+    # each rule lists an image cell at most once, as rule_matrix requires
+    ctx = TensorContext.from_hypergraphs(*pair)
+    for block in ctx.simplices:
+        for cell in block:
+            image = ctx.shuffle(cell)
+            assert dict(image) == oracle_shuffle(ctx, cell)
+            assert len(dict(image)) == len(image)
+    for sx in product_boxtimes(*pair).closure.edges:
+        image = ctx.front_back(sx)
+        assert dict(image) == oracle_front_back(ctx, sx)
+        assert len(dict(image)) == len(image)
+
+
+def test_chainmap_check_builds_no_chain(spy):
+    # the check writes both maps as rule matrices: no chain is built,
+    # and neither chain-level map is called
+    pair = homology_demo_pair()
+    report = oracle_chainmap_check(*pair)
+    chains = spy(ChainElement, "__post_init__")
+    maps = [spy(kunneth, "ez_map"), spy(kunneth, "aw_map")]
+    assert restricted_chainmap_check(*pair) == report
+    assert report.tensor_columns_checked and report.product_columns_checked
+    assert chains == [] and maps == [[], []]
+
+
 @settings(max_examples=15)
 @given(small_pairs())
 def test_chainmap_check_agrees_with_the_chain_level_oracle(pair):
@@ -439,38 +467,40 @@ def test_chainmap_check_agrees_with_the_chain_level_oracle(pair):
     assert outcome == _chainmap_outcome(oracle_chainmap_check, pair)
 
 
-_REAL_EZ, _REAL_AW = kunneth.ez_map, kunneth.aw_map
+_REAL_SHUFFLE, _REAL_FRONT_BACK = TensorContext.shuffle, TensorContext.front_back
 
 
-def _scaled(c, factor):
-    return type(c)(c.degree, {k: factor * v for k, v in c.coeffs.items()})
+def _scaled(image, factor):
+    return [(cell, factor * v) for cell, v in image]
 
 
-def _front_back_off_the_infimum(c, ctx):
-    image = _REAL_AW(c, ctx)
+def _front_back_off_the_infimum(ctx, sx):
+    image = _REAL_FRONT_BACK(ctx, sx)
     # a vertex tensor of the closures that no hyperedge tensor spans
-    return image + TensorChain.of_pair((0,), (0,)) if c.degree == 0 else image
+    return image + [(((0,), (0,)), 1)] if len(sx) == 1 else image
 
 
 PLANTED_FAULTS = {
     "front-back-image-outside-the-tensor-infimum": (
-        "aw_map",
+        "front_back",
         _front_back_off_the_infimum,
         "outside the tensor infimum",
     ),
     "shuffle-map-off-the-boundaries": (
-        "ez_map",
-        lambda t, ctx: _scaled(_REAL_EZ(t, ctx), 2 if t.degree == 1 else 1),
+        "shuffle",
+        lambda ctx, pair: _scaled(
+            _REAL_SHUFFLE(ctx, pair), 2 if TensorChain.cell_degree(pair) == 1 else 1
+        ),
         "shuffle map does not commute",
     ),
     "front-back-map-off-the-boundaries": (
-        "aw_map",
-        lambda c, ctx: _scaled(_REAL_AW(c, ctx), -1 if c.degree == 1 else 1),
+        "front_back",
+        lambda ctx, sx: _scaled(_REAL_FRONT_BACK(ctx, sx), -1 if len(sx) == 2 else 1),
         "front/back-face map does not commute",
     ),
     "broken-round-trip": (
-        "aw_map",
-        lambda c, ctx: _scaled(_REAL_AW(c, ctx), 2),
+        "front_back",
+        lambda ctx, sx: _scaled(_REAL_FRONT_BACK(ctx, sx), 2),
         "is not the identity",
     ),
 }
@@ -485,7 +515,7 @@ def test_planted_chain_map_faults_are_refused(monkeypatch, fault):
     h = hypergraph_from_edges([["a"], ["b"], ["a", "b"]])
     h2 = hypergraph_from_edges([["w1"], ["w0", "w1"]])
     assert restricted_chainmap_check(h, h2) == oracle_chainmap_check(h, h2)
-    monkeypatch.setattr(kunneth, name, planted)
+    monkeypatch.setattr(TensorContext, name, planted)
     with pytest.raises(IntegrityError, match=message):
         restricted_chainmap_check(h, h2)
     with pytest.raises(IntegrityError):
