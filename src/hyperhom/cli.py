@@ -204,7 +204,7 @@ def cmd_ez_aw_demo(config: RunConfig) -> Report:
             t = TensorChain.of_pair(s, u)
             shuffle.append((tensor(t), render_chain(ez_map(t, ctx), square)))
     front_back = []
-    for sx in square.simplices:
+    for sx in square.edges:
         c = ChainElement.of_simplex(sx)
         front_back.append((render_chain(c, square), tensor(aw_map(c, ctx))))
     # (document key, name of a row's source, text heading, rendered rows)

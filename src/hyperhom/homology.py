@@ -188,17 +188,24 @@ def chain_boundary(c: ChainElement) -> ChainElement:
     return apply_rule(c.faces, c, type(c), c.degree - 1)
 
 
-def render_chain(c: ChainElement, k: SimplicialComplex) -> str:
-    """Human-readable form like ``{a,b} - {b,c}`` in canonical order."""
-    if c.is_zero():
-        return "0"
-    pos = k.simplex_positions(c.degree)
-    parts = []
-    for s, v in sorted(c.coeffs.items(), key=lambda kv: pos[kv[0]]):
-        label = "{" + ",".join(k.vertices[i] for i in s) + "}"
+def render_terms(terms: Iterable[tuple[str, int]]) -> str:
+    """Join (label, coefficient) terms as ``a - 2*b + c``; ``0`` when none."""
+    parts: list[str] = []
+    for label, v in terms:
         mag = "" if abs(v) == 1 else f"{abs(v)}*"
         parts.append(("- " if v < 0 else ("+ " if parts else "")) + mag + label)
-    return " ".join(parts)
+    return " ".join(parts) or "0"
+
+
+def simplex_label(s: tuple[int, ...], h: Hypergraph) -> str:
+    return "{" + ",".join(h.vertices[i] for i in s) + "}"
+
+
+def render_chain(c: ChainElement, k: SimplicialComplex) -> str:
+    """Human-readable form like ``{a,b} - {b,c}`` in canonical order."""
+    pos = k.simplex_positions(c.degree)
+    ordered = sorted(c.coeffs.items(), key=lambda kv: pos[kv[0]])
+    return render_terms((simplex_label(s, k), v) for s, v in ordered)
 
 
 # --------------------------------------------------------------- boundaries
@@ -226,12 +233,14 @@ def rule_matrix(rule, cells: Sequence, pos: dict, support: Iterable[int]) -> Spa
 def boundary_matrix(k: Coordinates, n: int) -> SparseIntMatrix:
     """The boundary from degree-n to degree-(n-1) chains on the
     coordinates ``k``: the :func:`rule_matrix` of ``k.chain.faces`` on
-    every degree-n cell. Degree 0 maps to the zero module (no rows), and
-    a complex has no overflow rows."""
+    the degree-n generators ``k.generators[n]``; any other column stays
+    empty. Degree 0 maps to the zero module (no rows), and a complex has
+    no overflow rows."""
     if n < 0:
         raise ValueError("degree must be non-negative")
     cells = k.simplices_of_dim(n)
-    return rule_matrix(k.chain.faces, cells, k.simplex_positions(n - 1), range(len(cells)))
+    support = k.generators[n] if cells else ()
+    return rule_matrix(k.chain.faces, cells, k.simplex_positions(n - 1), support)
 
 
 class Coordinates:
@@ -261,6 +270,12 @@ class Coordinates:
     def simplex_positions(self, n: int) -> dict:
         """Map each degree-n cell to its position; read-only."""
         return self._positions[n] if 0 <= n < len(self.simplices) else {}
+
+    @property
+    def generators(self) -> tuple[Sequence[int], ...]:
+        """Per degree, the rising positions of the cells the boundary has
+        columns on and an infimum is spanned by: all, unless narrowed."""
+        return tuple(range(len(b)) for b in self.simplices)
 
     @cached_property
     def boundaries(self) -> tuple[SparseIntMatrix, ...]:
@@ -489,7 +504,7 @@ def _chain_homology(
 
 
 def inf_bases_of_span(
-    boundaries: tuple[SparseIntMatrix, ...], generators: tuple[tuple[int, ...], ...]
+    boundaries: tuple[SparseIntMatrix, ...], generators: tuple[Sequence[int], ...]
 ) -> tuple[SparseIntMatrix, ...]:
     """Largest boundary-stable graded submodule inside a coordinate span.
 
@@ -532,8 +547,7 @@ def inf_chain(h: Hypergraph) -> GradedSubmodule:
     Computed afresh on every call; ``h.inf`` keeps one.
     """
     c = h.coordinates
-    generators = tuple(tuple(range(len(cells))) for cells in c.simplices)
-    return GradedSubmodule(c, inf_bases_of_span(c.boundaries, generators))
+    return GradedSubmodule(c, inf_bases_of_span(c.boundaries, c.generators))
 
 
 def sup_chain(h: Hypergraph) -> GradedSubmodule:

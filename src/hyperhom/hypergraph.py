@@ -181,13 +181,6 @@ class SimplicialComplex(Hypergraph):
         if not self.is_closed():
             raise ValidationError("simplex set is not closed under facets")
 
-    @property
-    def simplices(self) -> tuple[tuple[int, ...], ...]:
-        return self.edges
-
-    def simplices_of_dim(self, n: int) -> tuple[tuple[int, ...], ...]:
-        return self.edges_of_dim(n)
-
     def simplex_positions(self, n: int) -> dict[tuple[int, ...], int]:
         """Map each n-simplex to its position in the canonical order.
 

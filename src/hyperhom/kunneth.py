@@ -7,9 +7,11 @@ goes the other way by splitting each product simplex at every corner
 and dropping degenerate factors. Both are cell rules on a
 :class:`TensorContext`, as the boundary is on a chain type: ``ez_map``
 and ``aw_map`` apply them to chains, and the chain-map check writes
-them as matrices. The composite front/back after shuffle is the
-identity on the nose, which is what makes the embedded homology of a
-product computable from the factors.
+them as matrices. A :class:`TensorContext` names every pair of closure
+simplices of two hypergraphs; its boundary has columns on the hyperedge
+pairs alone. The composite front/back after shuffle is the identity on
+the nose, which is what makes the embedded homology of a product
+computable from the factors.
 
 The headline check: for hypergraphs h, h2 and every degree n, the
 embedded homology of the lattice-path product equals the direct sum of
@@ -35,9 +37,11 @@ from .homology import (
     embedded_homology,
     inf_bases_of_span,
     map_in_bases,
+    render_terms,
     rule_matrix,
+    simplex_label,
 )
-from .hypergraph import Hypergraph, SimplicialComplex, lattice_paths, product_boxtimes
+from .hypergraph import Hypergraph, lattice_paths, product_boxtimes
 from .intlinalg import SparseIntMatrix
 
 SimplexPair = tuple[tuple[int, ...], tuple[int, ...]]
@@ -78,32 +82,40 @@ class TensorChain(ChainElement):
 
 @dataclass(frozen=True)
 class TensorContext(Coordinates):
-    """Coordinates for the tensor product of two simplicial chain
-    complexes: per degree n, one cell per simplex pair with dimensions
-    summing to n, blocks ordered by ascending left dimension and
-    lexicographically inside each block. The two factors are also all
-    the shuffle and front/back-face rules read of the pair."""
+    """Coordinates for the tensor product of two hypergraphs' closure
+    complexes: per degree n, one cell per pair of closure simplices with
+    dimensions summing to n, blocks by ascending left dimension, each
+    lexicographic. Its generators are the hyperedge pairs e (x) e' (every
+    cell, on two complexes), the only cells its boundary has columns on.
+    The factors are all the shuffle and front/back-face rules read."""
 
     chain = TensorChain
-    left: SimplicialComplex
-    right: SimplicialComplex
+    left: Hypergraph
+    right: Hypergraph
 
     @classmethod
     def from_hypergraphs(cls, h: Hypergraph, h2: Hypergraph) -> "TensorContext":
-        return cls(h.closure, h2.closure)
+        return cls(h, h2)
 
     @cached_property
     def simplices(self) -> tuple[tuple[SimplexPair, ...], ...]:
         # degrees 0 through left.dim + right.dim + 1; the last is empty
-        out = []
-        for n in range(self.left.dim + self.right.dim + 2):
-            block: list[SimplexPair] = []
-            for p in range(n + 1):
-                for s in self.left.simplices_of_dim(p):
-                    for u in self.right.simplices_of_dim(n - p):
-                        block.append((s, u))
-            out.append(tuple(block))
-        return tuple(out)
+        left, right = self.left.closure, self.right.closure
+        return tuple(
+            tuple((s, u) for p in range(n + 1) for s in left.edges_of_dim(p)
+                  for u in right.edges_of_dim(n - p))
+            for n in range(left.dim + right.dim + 2)
+        )
+
+    @cached_property
+    def generators(self) -> tuple[tuple[int, ...], ...]:
+        # hyperedges come in closure order, so each degree's positions rise
+        out: list[list[int]] = [[] for _ in self.simplices]
+        for e in self.left.edges:
+            for e2 in self.right.edges:
+                n = len(e) + len(e2) - 2
+                out[n].append(self.simplex_positions(n)[(e, e2)])
+        return tuple(map(tuple, out))
 
     def shuffle(self, pair: SimplexPair) -> list[tuple[tuple[int, ...], int]]:
         """The shuffle map's cell rule: s (x) u goes to one staircase per
@@ -111,9 +123,9 @@ class TensorContext(Coordinates):
         below the path. Product vertex (a, b) has index a * width + b, as
         in :func:`product_boxtimes`."""
         s, u = pair
-        if s not in self.left.simplex_positions(len(s) - 1):
+        if s not in self.left.closure.simplex_positions(len(s) - 1):
             raise ValueError(f"{s} is not a simplex of the left factor")
-        if u not in self.right.simplex_positions(len(u) - 1):
+        if u not in self.right.closure.simplex_positions(len(u) - 1):
             raise ValueError(f"{u} is not a simplex of the right factor")
         width = len(self.right.vertices)
         return [
@@ -135,8 +147,8 @@ class TensorContext(Coordinates):
         rights = [x % width for x in sx]
         s, u = tuple(dict.fromkeys(lefts)), tuple(dict.fromkeys(rights))
         if (
-            s not in self.left.simplex_positions(len(s) - 1)
-            or u not in self.right.simplex_positions(len(u) - 1)
+            s not in self.left.closure.simplex_positions(len(s) - 1)
+            or u not in self.right.closure.simplex_positions(len(u) - 1)
         ):
             raise ValueError(f"{sx} is not a simplex of the product complex")
         # the front lefts[:k+1] is degenerate once it takes a step that
@@ -176,13 +188,13 @@ def inf_tensor_basis(
     Computed degreewise as the tensor of the factor infimum bases, which
     is canonical as it stands: the (p, i, j) loop emits the pivots
     (lead x, lead y) in increasing order. In verification mode the
-    submodule is recomputed directly inside the tensor complex (kernel
-    of the projected tensor boundary, the same construction used for a
-    single hypergraph) and the two canonical bases must be identical
-    matrices. The result's ``coordinates`` is the :class:`TensorContext`
-    that names its rows.
+    submodule is recomputed directly inside the tensor complex, from the
+    boundary columns of the context's generators (kernel of the
+    projected tensor boundary, as for a single hypergraph), and the two
+    canonical bases must be identical matrices. The result's
+    ``coordinates`` is the ``TensorContext(h, h2)`` that names its rows.
     """
-    ctx = TensorContext(h.closure, h2.closure)
+    ctx = TensorContext(h, h2)
     mi, mi2 = h.inf, h2.inf
     bases = []
     for n in range(ctx.top_degree + 1):
@@ -204,16 +216,7 @@ def inf_tensor_basis(
         bases.append(SparseIntMatrix._adopt(len(pos), cols))
     result = GradedSubmodule(ctx, tuple(bases))
     if verify:
-        generators = tuple(
-            tuple(
-                ctx.simplex_positions(n)[(e, e2)]
-                for e in h.edges
-                for e2 in h2.edges
-                if len(e) + len(e2) == n + 2
-            )
-            for n in range(ctx.top_degree + 1)
-        )
-        direct = inf_bases_of_span(ctx.boundaries, generators)
+        direct = inf_bases_of_span(ctx.boundaries, ctx.generators)
         for n, (got, want) in enumerate(zip(direct, result.bases)):
             if got != want:
                 raise IntegrityError(
@@ -223,22 +226,12 @@ def inf_tensor_basis(
     return result
 
 
-def render_tensor_chain(
-    t: TensorChain, left: SimplicialComplex, right: SimplicialComplex
-) -> str:
+def render_tensor_chain(t: TensorChain, left: Hypergraph, right: Hypergraph) -> str:
     """Human-readable form like ``{a,b}(x){c} - {a}(x){b,c}``."""
-    if t.is_zero():
-        return "0"
-
-    def label(s: tuple[int, ...], k: SimplicialComplex) -> str:
-        return "{" + ",".join(k.vertices[i] for i in s) + "}"
-
-    parts = []
-    for (s, u), v in sorted(t.terms.items(), key=lambda kv: (len(kv[0][0]), kv[0])):
-        mag = "" if abs(v) == 1 else f"{abs(v)}*"
-        body = mag + label(s, left) + "(x)" + label(u, right)
-        parts.append(("- " if v < 0 else ("+ " if parts else "")) + body)
-    return " ".join(parts)
+    ordered = sorted(t.terms.items(), key=lambda kv: (len(kv[0][0]), kv[0]))
+    return render_terms(
+        (simplex_label(s, left) + "(x)" + simplex_label(u, right), v) for (s, u), v in ordered
+    )
 
 
 # ------------------------------------------------------------- reporting

@@ -267,7 +267,7 @@ def oracle_inf_chain(h: Hypergraph) -> GradedSubmodule:
     top = h.dim + 1
     if h.is_closed():
         bases = tuple(
-            SparseIntMatrix.identity(len(k.simplices_of_dim(n)))
+            SparseIntMatrix.identity(len(k.edges_of_dim(n)))
             for n in range(top + 1)
         )
         return GradedSubmodule(k.coordinates, bases)
@@ -289,7 +289,7 @@ def oracle_sup_chain(h: Hypergraph) -> GradedSubmodule:
         if n + 1 <= top:
             d_above = k.coordinates.boundaries[n + 1]
             cols += [d_above.column(p) for p in _closure_positions(h, k, n + 1)]
-        ambient = len(k.simplices_of_dim(n))
+        ambient = len(k.edges_of_dim(n))
         bases.append(oracle_column_hnf(SparseIntMatrix.from_columns(ambient, cols)))
     return GradedSubmodule(k.coordinates, tuple(bases))
 

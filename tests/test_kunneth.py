@@ -39,6 +39,7 @@ from hyperhom.hypergraph import (
     to_text,
 )
 from hyperhom.cli import main
+from hyperhom.intlinalg import SparseIntMatrix
 from hyperhom.kunneth import (
     ChainMapReport,
     TensorChain,
@@ -148,7 +149,7 @@ def test_aw_refuses_exactly_the_tuples_outside_the_product_closure(pair):
     # oracle: membership in the closure of the lattice-path product
     h, h2 = pair
     ctx = TensorContext.from_hypergraphs(h, h2)
-    closure = set(product_boxtimes(h, h2).closure.simplices)
+    closure = set(product_boxtimes(h, h2).closure.edges)
     indices = range(h.n_vertices * h2.n_vertices + 1)  # one past the last
     for k in range(1, 5):
         for sx in itertools.combinations(indices, k):
@@ -217,7 +218,7 @@ def test_both_maps_commute_with_boundaries(pair):
         for s, u in block:
             t = TensorChain.of_pair(s, u)
             assert chain_boundary(ez_map(t, ctx)) == ez_map(chain_boundary(t), ctx)
-    for sx in product_boxtimes(h, h2).closure.simplices:
+    for sx in product_boxtimes(h, h2).closure.edges:
         c = ChainElement.of_simplex(sx)
         assert chain_boundary(aw_map(c, ctx)) == aw_map(chain_boundary(c), ctx)
 
@@ -409,6 +410,36 @@ def test_chainmap_check_builds_one_tensor_context(spy, verify):
     contexts = spy(kunneth, "TensorContext")
     restricted_chainmap_check(*tensor_membership_pair(), verify=verify)
     assert len(contexts) == 1
+
+
+@pytest.mark.parametrize("verify", [False, True])
+def test_chainmap_check_takes_faces_of_hyperedge_pairs_only(spy, verify):
+    # the tensor boundary has columns on the generators e (x) e' alone,
+    # for the restricted boundaries and the direct infimum alike
+    h, h2 = tensor_membership_pair()
+    faces = spy(TensorChain, "faces")
+    restricted_chainmap_check(h, h2, verify=verify)
+    assert {args[0] for args, _ in faces} == set(itertools.product(h.edges, h2.edges))
+
+
+@pytest.mark.parametrize("verify", [False, True])
+def test_a_tensor_basis_column_off_the_hyperedge_pairs_is_refused(monkeypatch, verify):
+    # the boundary column of a cell that is no hyperedge pair is empty, so
+    # a basis column there must be refused, never read as a cycle
+    h, h2 = tensor_membership_pair()
+    real = kunneth.inf_tensor_basis
+
+    def planted(*args, **kwargs):
+        m = real(*args, **kwargs)
+        v2_w1w2 = m.coordinates.simplex_positions(1)[((1,), (0, 1))]
+        cols = [m.bases[1].column(j) for j in range(m.bases[1].ncols)] + [{v2_w1w2: 1}]
+        bases = list(m.bases)
+        bases[1] = SparseIntMatrix.from_columns(m.bases[1].nrows, cols)
+        return GradedSubmodule(m.coordinates, tuple(bases))
+
+    monkeypatch.setattr(kunneth, "inf_tensor_basis", planted)
+    with pytest.raises(IntegrityError, match="is outside the product infimum"):
+        restricted_chainmap_check(h, h2, verify=verify)
 
 
 def test_chainmap_check_builds_only_the_factor_closures(spy):
