@@ -13,7 +13,7 @@ import json
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 from .errors import HyperhomError, ValidationError, VerificationError
@@ -115,6 +115,14 @@ def _build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument("--count", type=int, help="number of instance pairs")
     fuzz.add_argument("--max-vertices", type=int, help="vertex bound per factor")
     return parser
+
+
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of this process, built on the first :func:`main` call
+    and reused: parsing leaves it unchanged, and every flag a call leaves
+    out resolves to its :class:`RunConfig` default."""
+    return _build_parser()
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
@@ -265,9 +273,8 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:

@@ -181,6 +181,11 @@ class SimplicialComplex(Hypergraph):
         if not self.is_closed():
             raise ValidationError("simplex set is not closed under facets")
 
+    @property
+    def closure(self) -> SimplicialComplex:
+        """A complex is its own closure."""
+        return self
+
     def simplex_positions(self, n: int) -> dict[tuple[int, ...], int]:
         """Map each n-simplex to its position in the canonical order.
 

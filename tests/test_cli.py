@@ -491,3 +491,54 @@ def test_only_main_renders_writes_and_fails_a_check() -> None:
     path = Path(cli.__file__)
     assert set(_sites(path, names_output)) == {"main"}
     assert [s for s in _sites(path, reads_output_settings) if s.startswith("cmd_")] == []
+
+
+# ------------------------------------------------------- the reused parser
+
+
+def test_main_builds_its_parser_at_most_once(tmp_path, capsys, spy) -> None:
+    builds = spy(cli, "_build_parser")
+    path = write(tmp_path, "h.txt", SEGMENT_WITH_POINT)
+    for argv in (("homology", path), ("closure", path), ("fuzz", "--count", "0")):
+        assert run(capsys, *argv)[0] == 0
+    assert len(builds) <= 1
+
+
+def test_flags_do_not_leak_between_calls(tmp_path, capsys) -> None:
+    path = write(tmp_path, "h.txt", SEGMENT_WITH_POINT)
+    argv = ("homology", path, "--verify", "--coeff", "q", "--format", "structured")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and json.loads(out)["coefficients"] == "q"
+    code, out, err = run(capsys, "homology", path)
+    assert (code, err) == (0, "")
+    assert out.splitlines() == ["embedded homology over z", "H_0 = Z", "H_1 = 0", "H_2 = 0"]
+
+
+def test_failed_calls_leave_the_next_call_unchanged(tmp_path, capsys) -> None:
+    path = write(tmp_path, "h.txt", SEGMENT_WITH_POINT)
+    valid = ("homology", path, "--coeff", "zp:3", "--max-dim", "1")
+    first = run(capsys, *valid)
+    assert first[0] == 0
+    assert run(capsys, "bogus")[0] == 1
+    assert run(capsys, "--help")[0] == 0
+    assert run(capsys, "homology", path, "--coeff", "zp:4")[0] == 2
+    assert run(capsys, *valid) == first
+
+
+def test_the_parser_is_built_inside_functions_only() -> None:
+    # importing cli builds nothing; main builds the parser through _parser
+    def calls(*names: str):
+        # a call of one of names, as f() or module.f()
+        def hit(node: ast.AST) -> bool:
+            if not isinstance(node, ast.Call):
+                return False
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            return name in names
+
+        return hit
+
+    path = Path(cli.__file__)
+    assert "<module>" not in _sites(path, calls("_build_parser", "_parser", "ArgumentParser"))
+    assert _sites(path, calls("_build_parser")) == ["_parser"]
+    assert _sites(path, calls("_parser")) == ["main"]

@@ -305,6 +305,16 @@ def test_inf_tensor_of_closed_pair_is_full_span():
         GradedSubmodule(tctx, inf_t.bases[:-1])
 
 
+def test_a_complex_is_its_own_closure(spy):
+    k = associated_complex(projective_plane())
+    k2 = associated_complex(triangle_boundary())
+    closures = spy(hypergraph, "associated_complex")
+    tctx = TensorContext(k, k2)
+    assert len(tctx.simplices_of_dim(0)) == k.n_vertices * k2.n_vertices
+    assert closures == []
+    assert k.closure is k and k2.closure is k2
+
+
 def test_inf_tensor_with_point_factor_mirrors_the_other_factor():
     h, _ = homology_demo_pair()
     inf_t = inf_tensor_basis(vertex_hypergraph(), h, verify=True)
