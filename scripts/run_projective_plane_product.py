@@ -38,8 +38,8 @@ def main() -> int:
     rp2 = projective_plane()
     box = product_boxtimes(rp2, rp2)
     closed = box.closure
-    print(f"factor: {rp2.n_vertices} vertices, {len(rp2.edges)} simplices")
-    print(f"product: {box.n_vertices} vertices, {len(box.edges)} hyperedges")
+    print(f"factor: {len(rp2.vertices)} vertices, {len(rp2.edges)} simplices")
+    print(f"product: {len(box.vertices)} vertices, {len(box.edges)} hyperedges")
     print(f"closure: {len(closed.edges)} simplices")
 
     print("\nembedded homology of the product over Z")

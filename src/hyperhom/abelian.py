@@ -73,13 +73,6 @@ class FGAbelianGroup:
     def trivial(cls) -> "FGAbelianGroup":
         return cls(0, ())
 
-    @classmethod
-    def cyclic(cls, order: int) -> "FGAbelianGroup":
-        """Z/order for order >= 2; order 1 gives the trivial group."""
-        if order == 1:
-            return cls.trivial()
-        return cls.from_parts(0, [order])
-
     def betti_mod_p(self, p: int) -> int:
         """dim over Z/p of (self tensor Z/p): rank + p-divisible invariants."""
         return self.rank + sum(1 for t in self.invariants if t % p == 0)
@@ -92,7 +85,7 @@ class FGAbelianGroup:
     def tensor(self, other: "FGAbelianGroup") -> "FGAbelianGroup":
         """Tensor product over Z.
 
-        >>> FGAbelianGroup.cyclic(2).tensor(FGAbelianGroup.cyclic(4))
+        >>> FGAbelianGroup.from_parts(0, [2]).tensor(FGAbelianGroup.from_parts(0, [4]))
         FGAbelianGroup(rank=0, invariants=(2,))
         """
         torsion: list[int] = []
@@ -108,7 +101,8 @@ class FGAbelianGroup:
     def tor(self, other: "FGAbelianGroup") -> "FGAbelianGroup":
         """Torsion product Tor_1 over Z; free parts contribute nothing.
 
-        >>> FGAbelianGroup.cyclic(2).tor(FGAbelianGroup.cyclic(2))
+        >>> z2 = FGAbelianGroup.from_parts(0, [2])
+        >>> z2.tor(z2)
         FGAbelianGroup(rank=0, invariants=(2,))
         """
         torsion = []

@@ -13,7 +13,8 @@ whole battery, and a failure is reported under its category:
   rationals, Z/2 and Z/3;
 - ``universal-coefficients``: on both factors and the product, the
   rational and Z/p Betti numbers follow from the integral homology;
-- ``crash``: any other exception.
+- ``crash``: any other exception but a size refusal (``ValidationError``),
+  which ends the campaign with the instance's index.
 
 A failing pair is shrunk by greedily deleting hyperedges while the same
 category of failure persists, so reports end with a small witness.
@@ -21,12 +22,14 @@ category of failure persists, so reports end with a small witness.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
-from .errors import IntegrityError
+from .errors import IntegrityError, ValidationError
 from .homology import INTEGERS, RATIONALS, embedded_homology, mod_p
 from .hypergraph import (
+    MAX_SIMPLICES,
     Hypergraph,
     hypergraph_from_edges,
     product_boxtimes,
@@ -55,6 +58,14 @@ class FuzzConfig:
             raise ValueError("max_vertices must be at least 1")
         if self.max_dim < 0:
             raise ValueError("max_dim must be non-negative")
+        # random_hypergraph lists every candidate hyperedge before drawing
+        top = min(self.max_dim, self.max_vertices - 1) + 1
+        candidates = sum(math.comb(self.max_vertices, k) for k in range(1, top + 1))
+        if candidates > MAX_SIMPLICES:
+            raise ValueError(
+                f"a factor could have {candidates} candidate hyperedges, more "
+                f"than the limit of {MAX_SIMPLICES}; lower max_vertices or max_dim"
+            )
 
 
 def instance_pair(config: FuzzConfig, index: int) -> tuple[Hypergraph, Hypergraph]:
@@ -91,7 +102,8 @@ def _uct_mismatch(g: Hypergraph) -> str | None:
 
 def check_pair(h: Hypergraph, h2: Hypergraph) -> tuple[str, str] | None:
     """Run the battery; None when everything holds, else a (category,
-    detail) description of the first failure."""
+    detail) description of the first failure. A pair too large to admit
+    raises its ``ValidationError``."""
     try:
         box = product_boxtimes(h, h2)
         closed = product_complex(h.closure, h2.closure)
@@ -113,6 +125,8 @@ def check_pair(h: Hypergraph, h2: Hypergraph) -> tuple[str, str] | None:
             mismatch = _uct_mismatch(g)
             if mismatch is not None:
                 return ("universal-coefficients", f"{tag} factor: {mismatch}")
+    except ValidationError:
+        raise
     except Exception as exc:  # any crash is itself a reportable failure
         return ("crash", f"{type(exc).__name__}: {exc}")
     return None
@@ -212,9 +226,12 @@ def run_fuzz(config: FuzzConfig) -> FuzzReport:
     failures = []
     for index in range(config.count):
         h, h2 = instance_pair(config, index)
-        outcome = check_pair(h, h2)
-        if outcome is not None:
-            category, detail = outcome
-            small_h, small_h2 = shrink_pair(h, h2, category)
-            failures.append(FuzzFailure(index, category, detail, small_h, small_h2))
+        try:
+            outcome = check_pair(h, h2)
+            if outcome is not None:
+                category, detail = outcome
+                small_h, small_h2 = shrink_pair(h, h2, category)
+                failures.append(FuzzFailure(index, category, detail, small_h, small_h2))
+        except ValidationError as exc:
+            raise ValidationError(f"fuzz instance {index}: {exc}") from exc
     return FuzzReport(config, config.count, tuple(failures))

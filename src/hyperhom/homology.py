@@ -160,9 +160,6 @@ class ChainElement:
     def of_simplex(cls, s: tuple[int, ...]) -> "ChainElement":
         return cls(len(s) - 1, {tuple(s): 1})
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def __add__(self, other: "ChainElement") -> "ChainElement":
         if other.degree != self.degree:
             raise ValueError("cannot add chains of different degrees")

@@ -95,10 +95,6 @@ class Hypergraph:
     # ----------------------------------------------------------- derived
 
     @property
-    def n_vertices(self) -> int:
-        return len(self.vertices)
-
-    @property
     def dim(self) -> int:
         return len(self.edges[-1]) - 1
 
@@ -202,6 +198,11 @@ def _check_token(tok: str) -> str:
         raise ValidationError(f"bad vertex token: {tok!r}")
     if any(c.isspace() for c in tok):
         raise ValidationError(f"vertex token contains whitespace: {tok!r}")
+    # the text format reads '#' as a comment and a leading '{' as JSON
+    if "#" in tok:
+        raise ValidationError(f"vertex token contains '#': {tok!r}")
+    if tok.startswith("{"):
+        raise ValidationError(f"vertex token starts with '{{': {tok!r}")
     return tok
 
 

@@ -109,24 +109,13 @@ class SparseIntMatrix:
 
     __slots__ = ("nrows", "ncols", "_cols")
 
-    def __init__(
-        self,
-        nrows: int,
-        ncols: int,
-        entries: Mapping[tuple[int, int], int] | None = None,
-    ) -> None:
+    def __init__(self, nrows: int, ncols: int) -> None:
+        """The zero matrix of this shape."""
         if nrows < 0 or ncols < 0:
             raise ValueError("matrix shape must be non-negative")
         self.nrows = nrows
         self.ncols = ncols
-        cols: list[dict[int, int]] = [{} for _ in range(ncols)]
-        if entries:
-            for (i, j), v in entries.items():
-                if not (0 <= i < nrows and 0 <= j < ncols):
-                    raise ValueError(f"entry ({i}, {j}) outside {nrows}x{ncols}")
-                if v:
-                    cols[j][i] = v
-        self._cols = cols
+        self._cols: list[dict[int, int]] = [{} for _ in range(ncols)]
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]], ncols: int | None = None) -> "SparseIntMatrix":
@@ -170,9 +159,6 @@ class SparseIntMatrix:
         for i in range(n):
             m._cols[i][i] = 1
         return m
-
-    def entry(self, i: int, j: int) -> int:
-        return self._cols[j].get(i, 0)
 
     def column(self, j: int) -> dict[int, int]:
         return dict(self._cols[j])
@@ -432,13 +418,12 @@ class SNFResult:
     """Smith normal form: left @ a @ right = diag(d), transforms unimodular.
 
     d is the ascending divisibility chain of positive invariant factors;
-    rank = len(d).
+    its length is the rank.
     """
 
     d: tuple[int, ...]
     left: SparseIntMatrix
     right: SparseIntMatrix
-    rank: int
 
 
 def smith_normal_form(a: SparseIntMatrix, pivot_order: str = "markowitz") -> SNFResult:
@@ -551,7 +536,7 @@ def smith_normal_form(a: SparseIntMatrix, pivot_order: str = "markowitz") -> SNF
         for jj, v in lt[old_i].items():
             left._cols[jj][new_i] = v
     right = SparseIntMatrix._adopt(n, [rt[old_j] for old_j in col_order])
-    return SNFResult(d=d, left=left, right=right, rank=len(d))
+    return SNFResult(d=d, left=left, right=right)
 
 
 def invariant_factors(a: SparseIntMatrix) -> tuple[int, ...]:

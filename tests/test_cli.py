@@ -212,6 +212,13 @@ def test_fuzz_reports_are_reproducible(capsys) -> None:
     assert "checked 5 instance pairs: all passed" in out1
 
 
+def test_fuzz_stops_at_an_instance_too_large_to_admit(capsys) -> None:
+    # instance 4 draws factors of 171 and 108 hyperedges
+    code, out, err = run(capsys, "fuzz", "--count", "30", "--seed", "1", "--max-vertices", "10")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: fuzz instance 4: the closure could have 3694950 simplices")
+
+
 def test_fuzz_zero_count(capsys) -> None:
     code, out, _ = run(capsys, "fuzz", "--count", "0")
     assert code == 0
@@ -281,6 +288,7 @@ def test_validation_failures_exit_2(tmp_path, capsys) -> None:
         ("homology", ok, "--max-dim", "-2"),
         ("fuzz", "--max-dim", "-1"),
         ("fuzz", "--max-vertices", "0"),
+        ("fuzz", "--max-vertices", "40", "--max-dim", "39"),
         ("homology", ok, "--coeff", "zp:2305843009213693951"),
     ):
         code, out, err = run(capsys, *argv)

@@ -8,6 +8,7 @@ import hyperhom.fuzz as fuzz
 import hyperhom.homology as homology
 import hyperhom.kunneth as kunneth
 from hyperhom.abelian import FGAbelianGroup
+from hyperhom.errors import ValidationError
 from hyperhom.examples import projective_plane, vertex_hypergraph
 from hyperhom.fuzz import FuzzConfig, check_pair, instance_pair, run_fuzz
 from hyperhom.hypergraph import (
@@ -26,6 +27,12 @@ def test_config_rejects_bad_bounds() -> None:
     with pytest.raises(ValueError, match="max_dim must be non-negative"):
         FuzzConfig(count=1, seed=0, max_dim=-1)
     FuzzConfig(count=0, seed=0, max_vertices=1, max_dim=0)
+    # a factor draws from every subset of up to max_dim + 1 vertices
+    with pytest.raises(ValueError, match="1099511627775 candidate hyperedges"):
+        FuzzConfig(count=1, seed=0, max_vertices=40, max_dim=39)
+    with pytest.raises(ValueError, match="1401291 candidate hyperedges"):
+        FuzzConfig(count=1, seed=0, max_vertices=21, max_dim=10)
+    FuzzConfig(count=1, seed=0, max_vertices=20, max_dim=19)  # 2^20 - 1
 
 
 def test_instance_pair_is_deterministic() -> None:
@@ -40,7 +47,7 @@ def test_instance_pair_respects_bounds() -> None:
     config = FuzzConfig(count=1, seed=3, max_vertices=4, max_dim=2)
     for index in range(20):
         for g in instance_pair(config, index):
-            assert 1 <= g.n_vertices <= 4
+            assert 1 <= len(g.vertices) <= 4
             assert g.dim <= 2
 
 
@@ -178,6 +185,16 @@ def test_a_planted_crash_is_reported_minimized(monkeypatch) -> None:
     for f in _assert_minimized(report, "crash"):
         assert f.detail == "ZeroDivisionError: planted"
         assert len(f.left.edges) == len(f.right.edges) == 1
+
+
+def test_a_size_refusal_ends_the_campaign_with_its_index(monkeypatch) -> None:
+    # refused, not filed as a crash and shrunk: a product of two
+    # 20-vertex hyperedges is too large to start on
+    wide = hypergraph_from_edges([[f"v{i:02d}" for i in range(20)]])
+    pairs = [instance_pair(SMALL, 0), (wide, wide)]
+    monkeypatch.setattr(fuzz, "instance_pair", lambda config, index: pairs[index])
+    with pytest.raises(ValidationError, match="^fuzz instance 1: the product could have"):
+        run_fuzz(FuzzConfig(count=2, seed=SMALL.seed))
 
 
 def test_small_campaign_is_clean_and_reproducible() -> None:

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import re
 from math import comb
 
 import pytest
@@ -69,6 +70,28 @@ def test_parse_accepts_bar_tokens_as_opaque_labels():
 def test_text_round_trip():
     h = parse_hypergraph("c a\nb\nb c a\n")
     assert parse_hypergraph(to_text(h)) == h
+
+
+def test_tokens_the_text_format_cannot_write_are_refused():
+    # '#' starts a comment and a leading '{' reads as JSON
+    for token in ("a#b", "#", "{a"):
+        with pytest.raises(ValidationError, match=re.escape(repr(token))):
+            parse_hypergraph(json.dumps({"edges": [[token, "c"]]}))
+    with pytest.raises(ValidationError, match="'{a'"):
+        parse_hypergraph("b {a\n")
+    assert parse_hypergraph('{"edges": [["a{", "}"]]}').vertices == ("a{", "}")
+
+
+_tokens = st.text(st.one_of(st.sampled_from("a{#| \n"), st.characters()), min_size=1, max_size=3)
+
+
+@given(st.lists(st.lists(_tokens, min_size=1, max_size=3), min_size=1, max_size=4))
+def test_text_round_trip_keeps_every_accepted_hypergraph(edges):
+    try:
+        h = hypergraph_from_edges(edges)
+    except ValidationError:
+        return
+    assert parse_hypergraph(to_text(h)).edge_token_sets == h.edge_token_sets
 
 
 # ------------------------------------------------------- structured format
@@ -380,6 +403,6 @@ def test_random_hypergraph_rejects_bad_arguments():
 def test_random_hypergraph_is_valid_and_bounded(n, d, density, seed):
     h = random_hypergraph(n, d, density, seed)
     assert h.dim <= d
-    assert h.n_vertices <= n
+    assert len(h.vertices) <= n
     # construction re-runs the full validation
     assert Hypergraph(h.vertices, h.edges) == h
