@@ -26,13 +26,7 @@ from hyperhom.examples import projective_plane
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--skip-classical",
-        action="store_true",
-        help="skip the independent full-chain-complex cross-check",
-    )
-    args = parser.parse_args()
+    argparse.ArgumentParser(description=__doc__).parse_args()
 
     start = time.monotonic()
     rp2 = projective_plane()
@@ -55,13 +49,12 @@ def main() -> int:
         betti = [r.product_value for r in report.rows]
         print(f"\nBetti numbers over {coeff}: {betti} [{verdict}]")
 
-    if not args.skip_classical:
-        classical = classical_homology(closed, INTEGERS)
-        embedded = embedded_homology(box, INTEGERS)
-        agree = list(classical) == list(embedded)
-        print(f"\nclassical homology of the closure agrees: {agree}")
-        if not agree:
-            return 1
+    classical = classical_homology(closed, INTEGERS)
+    embedded = embedded_homology(box, INTEGERS)
+    agree = list(classical) == list(embedded)
+    print(f"\nclassical homology of the closure agrees: {agree}")
+    if not agree:
+        return 1
 
     print(f"\ntotal time: {time.monotonic() - start:.2f}s")
     return 0

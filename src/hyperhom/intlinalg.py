@@ -100,6 +100,43 @@ def _combine(
     return s, t
 
 
+_Lines = list[dict[int, int]]
+
+
+def _mirrored(a: SparseIntMatrix) -> tuple[_Lines, _Lines]:
+    """The rows and columns of ``a`` as fresh dicts: a mirrored store, with
+    rows[i][j] == cols[j][i]. A move acts on the lines of one store and
+    keeps the other, its mirror, in step: a row move is called with
+    (rows, cols), a column move with (cols, rows)."""
+    cols = [dict(c) for c in a._cols]
+    rows: _Lines = [{} for _ in range(a.nrows)]
+    for j, c in enumerate(cols):
+        for i, v in c.items():
+            rows[i][j] = v
+    return rows, cols
+
+
+def _take_line(lines: _Lines, mirror: _Lines, k: int) -> dict[int, int]:
+    """Remove line k and its mirror entries; return the line."""
+    line = lines[k]
+    for l in line:
+        del mirror[l][k]
+    lines[k] = {}
+    return line
+
+
+def _add_line(lines: _Lines, mirror: _Lines, dst: int, src: int, f: int) -> None:
+    """line dst += f * line src, for f != 0 and dst != src, keeping the
+    mirror in step."""
+    line = lines[dst]
+    for k, v in lines[src].items():
+        w = line.get(k, 0) + f * v
+        if w:
+            line[k] = mirror[k][dst] = w
+        else:
+            del line[k], mirror[k][dst]
+
+
 class SparseIntMatrix:
     """Immutable sparse integer matrix with explicit row and column counts.
 
@@ -441,40 +478,22 @@ def smith_normal_form(a: SparseIntMatrix, pivot_order: str = "markowitz") -> SNF
     if pivot_order not in ("markowitz", "ordered"):
         raise ValueError(f"unknown pivot order: {pivot_order!r}")
     m, n = a.nrows, a.ncols
-    rows: list[dict[int, int]] = [{} for _ in range(m)]
-    cols: list[dict[int, int]] = [{} for _ in range(n)]
-    for j in range(n):
-        for i, v in a._cols[j].items():
-            rows[i][j] = v
-            cols[j][i] = v
+    rows, cols = _mirrored(a)
     lt = [{i: 1} for i in range(m)]  # row dicts of the cumulative left transform
     rt = [{j: 1} for j in range(n)]  # column dicts of the cumulative right transform
 
-    # Each move acts on lines of one store, keeps the other store's mirror
-    # entries in step and carries the transform on that side: row moves are
+    # Each move carries the transform on the side it acts on: row moves are
     # called as (rows, cols, lt), column moves as (cols, rows, rt).
 
     def addmul(lines, mirror, t, dst: int, src: int, f: int) -> None:
         # line dst += f * line src
-        if not f:
-            return
-        line = lines[dst]
-        for k, v in lines[src].items():
-            w = line.get(k, 0) + f * v
-            if w:
-                line[k] = w
-                mirror[k][dst] = w
-            else:
-                del line[k]
-                del mirror[k][dst]
+        _add_line(lines, mirror, dst, src, f)
         _dict_addmul(t[dst], t[src], f)
 
     def pair(lines, mirror, t, k1: int, k2: int, x: int, y: int, z: int, w: int) -> None:
         # (line k1, line k2) <- (x*l1 + y*l2, z*l1 + w*l2); det must be +-1
-        for k in (k1, k2):
-            for l in lines[k]:
-                del mirror[l][k]
-        lines[k1], lines[k2] = _combine(lines[k1], lines[k2], x, y, z, w)
+        l1, l2 = _take_line(lines, mirror, k1), _take_line(lines, mirror, k2)
+        lines[k1], lines[k2] = _combine(l1, l2, x, y, z, w)
         for k in (k1, k2):
             for l, v in lines[k].items():
                 mirror[l][k] = v
@@ -566,15 +585,8 @@ def chain_invariant_factors(d: Sequence[SparseIntMatrix]) -> list[tuple[int, ...
     column has the fewest entries, which bounds the fill-in. What is
     left once no unit remains goes to :func:`invariant_factors`.
     """
-    # rows[n][i] and cols[n][j]: row i and column j of d[n] as sparse dicts
-    cols = [[dict(c) for c in m._cols] for m in d]
-    rows: list[list[dict[int, int]]] = []
-    for m, cs in zip(d, cols):
-        rs: list[dict[int, int]] = [{} for _ in range(m.nrows)]
-        for j, c in enumerate(cs):
-            for i, v in c.items():
-                rs[i][j] = v
-        rows.append(rs)
+    # stores[n] = (rows, cols): row i and column j of d[n] as sparse dicts
+    stores = [_mirrored(m) for m in d]
     units = (1, -1)
     # queue[k] holds (degree, row) for rows of k entries. A row is queued
     # again whenever an update changes it, so an entry for a row that has
@@ -587,7 +599,7 @@ def chain_invariant_factors(d: Sequence[SparseIntMatrix]) -> list[tuple[int, ...
             queue.append([])
         queue[k].append((n, i))
 
-    for n, rs in enumerate(rows):
+    for n, (rs, _) in enumerate(stores):
         for i, r in enumerate(rs):
             if r:
                 enqueue(n, i, len(r))
@@ -599,7 +611,7 @@ def chain_invariant_factors(d: Sequence[SparseIntMatrix]) -> list[tuple[int, ...
         if k == len(queue):
             break
         n, a = queue[k].pop()
-        rs, cs = rows[n], cols[n]
+        rs, cs = stores[n]
         row_a = rs[a]
         if not row_a or len(row_a) > k:
             continue
@@ -615,43 +627,25 @@ def chain_invariant_factors(d: Sequence[SparseIntMatrix]) -> list[tuple[int, ...
             )
             if b is None:
                 continue
-        # take row a and column b out of d[n]
-        col_b = cs[b]
-        u = row_a.pop(b)
-        del col_b[a]
-        for j in row_a:
-            del cs[j][a]
-        for i in col_b:
-            del rs[i][b]
-        rs[a], cs[b] = {}, {}
-        # Schur update: row i -= (d[i, b] / u) * row a, and 1 / u = u
+        # take column b out of d[n], then row a once it has cleared the
+        # other rows of column b: row i -= (d[i, b] / u) * row a, and 1 / u = u
+        col_b = _take_line(cs, rs, b)
+        u = col_b.pop(a)
         for i, v in col_b.items():
-            f = -v * u
-            row_i = rs[i]
-            for j, w in row_a.items():
-                x = row_i.get(j, 0) + f * w
-                if x:
-                    row_i[j] = cs[j][i] = x
-                else:
-                    del row_i[j], cs[j][i]
-            if row_i:
-                enqueue(n, i, len(row_i))
-                k = min(k, len(row_i))
+            _add_line(rs, cs, i, a, -v * u)
+            if rs[i]:
+                enqueue(n, i, len(rs[i]))
+                k = min(k, len(rs[i]))
+        _take_line(rs, cs, a)
         # cell b leaves degree n: its row in d[n+1]
         if n + 1 < len(d):
-            above_rows, above_cols = rows[n + 1], cols[n + 1]
-            for j in above_rows[b]:
-                del above_cols[j][b]
-            above_rows[b] = {}
+            _take_line(*stores[n + 1], b)
         # cell a leaves degree n-1: its column in d[n-1]
         if n:
-            below_rows, below_cols = rows[n - 1], cols[n - 1]
-            for i in below_cols[a]:
-                del below_rows[i][a]
-            below_cols[a] = {}
+            _take_line(*reversed(stores[n - 1]), a)
         pairs[n] += 1
     out = []
-    for n, cs in enumerate(cols):
+    for n, (_, cs) in enumerate(stores):
         live = [c for c in cs if c]
         residual: tuple[int, ...] = ()
         if live:

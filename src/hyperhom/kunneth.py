@@ -87,7 +87,8 @@ class TensorContext(Coordinates):
     dimensions summing to n, blocks by ascending left dimension, each
     lexicographic. Its generators are the hyperedge pairs e (x) e' (every
     cell, on two complexes), the only cells its boundary has columns on.
-    The factors are all the shuffle and front/back-face rules read."""
+    The shuffle and front/back-face rules check a cell against these
+    cells."""
 
     chain = TensorChain
     left: Hypergraph
@@ -123,10 +124,8 @@ class TensorContext(Coordinates):
         below the path. Product vertex (a, b) has index a * width + b, as
         in :func:`product_boxtimes`."""
         s, u = pair
-        if s not in self.left.closure.simplex_positions(len(s) - 1):
-            raise ValueError(f"{s} is not a simplex of the left factor")
-        if u not in self.right.closure.simplex_positions(len(u) - 1):
-            raise ValueError(f"{u} is not a simplex of the right factor")
+        if (s, u) not in self.simplex_positions(len(s) + len(u) - 2):
+            raise ValueError(f"{s} (x) {u} is not a cell of the tensor complex")
         width = len(self.right.vertices)
         return [
             (tuple(s[a] * width + u[b] for a, b in points), -1 if area % 2 else 1)
@@ -146,10 +145,7 @@ class TensorContext(Coordinates):
         lefts = [x // width for x in sx]
         rights = [x % width for x in sx]
         s, u = tuple(dict.fromkeys(lefts)), tuple(dict.fromkeys(rights))
-        if (
-            s not in self.left.closure.simplex_positions(len(s) - 1)
-            or u not in self.right.closure.simplex_positions(len(u) - 1)
-        ):
+        if (s, u) not in self.simplex_positions(len(s) + len(u) - 2):
             raise ValueError(f"{sx} is not a simplex of the product complex")
         # the front lefts[:k+1] is degenerate once it takes a step that
         # keeps the left vertex, the back rights[k:] while it takes one

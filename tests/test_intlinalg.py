@@ -22,9 +22,12 @@ from hyperhom.hypergraph import product_boxtimes
 from hyperhom.intlinalg import (
     LatticeSolver,
     SparseIntMatrix,
+    _add_line,
     _dict_addmul,
     _dict_scale,
     _Echelon,
+    _mirrored,
+    _take_line,
     chain_invariant_factors,
     column_hnf,
     determinant,
@@ -191,6 +194,39 @@ def test_matmul_and_mat_vec():
     assert a.apply_to_column({0: 1, 1: 1}) == {0: 3, 1: 7}
     with pytest.raises(ValueError):
         a.apply_to_column({2: 1})
+
+
+# ---------------------------------------------------------- mirrored store
+
+
+def _transpose(grid: list[list[int]]) -> list[list[int]]:
+    return [list(line) for line in zip(*grid)]
+
+
+@given(st.one_of(int_matrices(), sparse_int_matrices()), st.data())
+def test_line_moves_keep_the_mirrored_store_in_step(a, data):
+    # both stores are compared with one dense matrix that the same moves
+    # act on, so they stay transposes of each other
+    rows, cols = _mirrored(a)
+    before, grid = a.to_rows(), a.to_rows()
+    for _ in range(data.draw(st.integers(0, 8))):
+        by_rows = data.draw(st.booleans())
+        lines, mirror = (rows, cols) if by_rows else (cols, rows)
+        dense = grid if by_rows else _transpose(grid)
+        k = data.draw(st.integers(0, len(lines) - 1))
+        if len(lines) < 2 or data.draw(st.booleans()):
+            assert _take_line(lines, mirror, k) == {l: v for l, v in enumerate(dense[k]) if v}
+            assert lines[k] == {} and all(k not in m for m in mirror)
+            dense[k] = [0] * len(dense[k])
+        else:
+            src = data.draw(st.integers(0, len(lines) - 1).filter(lambda l: l != k))
+            f = data.draw(st.integers(-5, 5).filter(bool))
+            _add_line(lines, mirror, k, src, f)
+            dense[k] = [x + f * y for x, y in zip(dense[k], dense[src])]
+        grid = dense if by_rows else _transpose(dense)
+        assert rows == [{j: v for j, v in enumerate(r) if v} for r in grid]
+        assert cols == [{i: v for i, v in enumerate(c) if v} for c in _transpose(grid)]
+    assert a.to_rows() == before  # the store holds copies, so a is unchanged
 
 
 # ------------------------------------------------------------------- SNF

@@ -459,6 +459,20 @@ def test_chainmap_check_builds_only_the_factor_closures(spy):
     assert [g for (g,), _ in closures] == [h, h2]
 
 
+def test_the_tensor_rules_look_cells_up_in_the_context_alone(spy):
+    # the context owns the tensor cells, so no rule asks a factor closure
+    ctx = segment_square()
+    cells = [c for n in range(ctx.top_degree + 1) for c in ctx.simplices_of_dim(n)]
+    square = product_boxtimes(ctx.left, ctx.right).closure.edges
+    lookups = spy(hypergraph.SimplicialComplex, "simplex_positions")
+    restricted_chainmap_check(*tensor_membership_pair())
+    for s, u in cells:
+        ez_map(TensorChain.of_pair(s, u), ctx)
+    for sx in square:
+        aw_map(ChainElement.of_simplex(sx), ctx)
+    assert lookups == []
+
+
 @settings(max_examples=15)
 @given(small_pairs(max_vertices=4, max_dim=2))
 def test_restricted_chainmap_property(pair):

@@ -24,7 +24,7 @@ def _python(*args: str) -> subprocess.CompletedProcess:
 
 def test_projective_plane_script_exits_0():
     script = ROOT / "scripts" / "run_projective_plane_product.py"
-    done = _python(str(script), "--skip-classical")
+    done = _python(str(script))
     assert done.returncode == 0, done.stdout + done.stderr
 
 
