@@ -9,14 +9,18 @@ boundary maps into itself; the supremum complex is the smallest
 boundary-stable submodule containing the span. Both have isomorphic
 homology, which is what this module computes.
 
-Neither needs the whole closure, and the two share no coordinates. The
-infimum lives on the hyperedges themselves (``h.coordinates``): its
-degree-n basis is the kernel of the boundary of the n-hyperedges with
-every (n-1)-hyperedge row projected away. The supremum lives on the
-facet coordinates: the n-hyperedges together with the facets of the
-(n+1)-hyperedges. :func:`rule_matrix` writes a cell rule, the boundary
-or a chain map of :mod:`hyperhom.kunneth`, as a matrix with an overflow
-row for each image cell outside the coordinates: none is ever dropped.
+Neither needs the whole closure, and the two share no coordinates;
+both differentiate hyperedges only. The infimum lives on the hyperedges
+themselves (``h.coordinates``): its degree-n basis is the kernel of the
+boundary of the n-hyperedges with every (n-1)-hyperedge row projected
+away. The supremum lives on the facet coordinates: the facets of the
+(n+1)-hyperedges, then the n-hyperedges. Its degree-n basis is the
+echelon of the (n+1)-hyperedge boundaries, cycles since the boundary
+squares to zero, then a unit column per n-hyperedge; only the units
+have boundaries to solve. :func:`rule_matrix` writes a cell rule, the
+boundary or a chain map of :mod:`hyperhom.kunneth`, as a matrix with an
+overflow row for each image cell outside the coordinates: none is ever
+dropped.
 
 Either complex is a chain complex of free modules once its boundaries
 are written in the submodule's own basis (the restricted boundaries).
@@ -301,18 +305,30 @@ class SimplexCoordinates(Coordinates):
     simplices: tuple[tuple[tuple[int, ...], ...], ...]
 
 
+@dataclass(frozen=True)
+class _FacetCoordinates(SimplexCoordinates):
+    """:func:`facet_coordinates`: the last ``edges[n]`` cells of degree n
+    are the n-hyperedges, and the generators."""
+
+    edges: tuple[int, ...]
+
+    @property
+    def generators(self) -> tuple[Sequence[int], ...]:
+        return tuple(range(len(b) - k, len(b)) for b, k in zip(self.simplices, self.edges))
+
+
 def facet_coordinates(h: Hypergraph) -> SimplexCoordinates:
     """The coordinates the supremum of ``h`` lives on: in each degree
-    n = 0..dim+1, the n-hyperedges together with the facets of the
-    (n+1)-hyperedges. Computed afresh; ``h.sup`` keeps the ones it
-    built."""
+    n = 0..dim+1, the facets of the (n+1)-hyperedges that are no
+    n-hyperedge, in lexicographic order, then the n-hyperedges, the
+    generators: the boundaries have no overflow rows. Computed afresh;
+    ``h.sup`` keeps the ones it built."""
     out = []
     for n in range(h.dim + 2):
-        here = set(h.edges_of_dim(n))
-        for e in h.edges_of_dim(n + 1):
-            here.update(itertools.combinations(e, n + 1))
-        out.append(tuple(sorted(here)))
-    return SimplexCoordinates(tuple(out))
+        edges = h.edges_of_dim(n)
+        facets = {f for e in h.edges_of_dim(n + 1) for f in itertools.combinations(e, n + 1)}
+        out.append(tuple(sorted(facets.difference(edges))) + edges)
+    return _FacetCoordinates(tuple(out), tuple(len(h.edges_of_dim(n)) for n in range(h.dim + 2)))
 
 
 # ---------------------------------------------------------- graded modules
@@ -333,8 +349,8 @@ class GradedSubmodule:
     outside those coordinates. The submodule is expected to be
     boundary-stable (checked when homology is computed). Bases need not
     be saturated, but each must be in echelon form: its columns have
-    distinct leading (smallest nonzero) rows, as a :func:`column_hnf`
-    has, so that :class:`LatticeSolver` can solve against it.
+    distinct leading (smallest nonzero) rows, so that
+    :class:`LatticeSolver` can solve against it.
     """
 
     coordinates: Coordinates
@@ -433,9 +449,24 @@ def restricted_boundaries(m: GradedSubmodule) -> list[SparseIntMatrix]:
     to degree-(n-1) basis coefficients. Raises IntegrityError if some
     boundary image leaves the submodule, i.e. the chain-complex property
     fails; an image with an entry in an overflow row (a face outside the
-    coordinates below) leaves it too.
+    coordinates below) leaves it too. The boundaries have columns on the
+    generators alone, so a basis column with an entry off them is refused
+    as well; a supremum's cycles (see :func:`sup_chain`) map to zero
+    unsolved instead.
     """
-    return map_in_bases(m, m, m.coordinates.boundaries, -1, (
+    c, bases = m.coordinates, m.bases
+    if isinstance(m, _Supremum):
+        bases = tuple(
+            SparseIntMatrix._adopt(b.nrows, [{}] * (b.ncols - len(g)) + b._cols[b.ncols - len(g):])
+            for b, g in zip(bases, c.generators)
+        )
+    for n, b in enumerate(bases):
+        if len(c.generators[n]) < b.nrows:
+            gens = set(c.generators[n])
+            j = next((j for j, col in enumerate(b._cols) if not gens.issuperset(col)), None)
+            if j is not None:
+                raise IntegrityError(f"degree-{n} basis column {j} has an entry off the generators")
+    return map_in_bases(GradedSubmodule(c, bases), m, c.boundaries, -1, (
         "boundary of degree-{n} basis column {j} has a face outside the degree-{k} coordinates",
         "boundary of degree-{n} basis column {j} leaves the submodule",
     ))
@@ -547,32 +578,25 @@ def inf_chain(h: Hypergraph) -> GradedSubmodule:
     return GradedSubmodule(c, inf_bases_of_span(c.boundaries, c.generators))
 
 
+class _Supremum(GradedSubmodule):
+    """A supremum as :func:`sup_chain` builds it: in each degree, the basis
+    columns before the unit columns on the generators are cycles."""
+
+
 def sup_chain(h: Hypergraph) -> GradedSubmodule:
     """Smallest boundary-stable submodule containing the hyperedge span:
     degree n is spanned by the n-hyperedges together with boundaries of
     the (n+1)-hyperedges, in the facet coordinates
-    :func:`facet_coordinates`, built here for the supremum alone.
-    Computed afresh on every call; ``h.sup`` keeps one."""
+    :func:`facet_coordinates`, built here for the supremum alone. The
+    basis (:func:`lattice_sum_basis`) is those boundaries' echelon, so
+    cycles, then a unit column per n-hyperedge, the only columns whose
+    boundaries are solved. Computed afresh; ``h.sup`` keeps one."""
     c = facet_coordinates(h)
-    top = c.top_degree
-
-    def hyperedge_positions(n: int) -> list[int]:
-        pos = c.simplex_positions(n)
-        return [pos[e] for e in h.edges_of_dim(n)]
-
-    bases = []
-    for n in range(top + 1):
-        ambient = len(c.simplices[n])
-        span = SparseIntMatrix._adopt(ambient, [{p: 1} for p in hyperedge_positions(n)])
-        if n + 1 <= top:
-            d_above = c.boundaries[n + 1]
-            image = SparseIntMatrix._adopt(
-                ambient, [d_above._cols[p] for p in hyperedge_positions(n + 1)]
-            )
-        else:
-            image = SparseIntMatrix(ambient, 0)
-        bases.append(lattice_sum_basis(span, image))
-    return GradedSubmodule(c, tuple(bases))
+    above = c.boundaries[1:] + (SparseIntMatrix(0, 0),)
+    return _Supremum(c, tuple(
+        lattice_sum_basis(d, len(cells) - len(g))
+        for d, cells, g in zip(above, c.simplices, c.generators)
+    ))
 
 
 def embedded_homology(

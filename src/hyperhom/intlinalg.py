@@ -9,8 +9,8 @@ expected and must stay exact.
 The lattice bases all come from one engine, ``_Echelon``: an integer
 row-echelon store fed with the columns of a matrix. Canonical
 (column-style Hermite) bases make lattice equality a plain matrix
-equality, which the package leans on for determinism; :class:`LatticeSolver`
-solves against them by forward substitution.
+equality; :class:`LatticeSolver` solves against any echelon basis, the
+supremum's too, by forward substitution.
 """
 
 from __future__ import annotations
@@ -264,10 +264,13 @@ class _Echelon:
     def __init__(self) -> None:
         self.rows: dict[int, dict[int, int]] = {}
 
-    def insert(self, vec: dict[int, int]) -> None:
-        """Insert a vector (consumed) into the lattice."""
+    def insert(self, vec: dict[int, int], stop: float = float("inf")) -> None:
+        """Insert a vector (consumed) into the lattice; once its leading
+        row reaches ``stop``, what is left of it is dropped."""
         while vec:
             j = min(vec)
+            if j >= stop:
+                return
             row = self.rows.get(j)
             if row is None:
                 self.rows[j] = vec
@@ -329,25 +332,11 @@ def column_hnf(a: SparseIntMatrix) -> SparseIntMatrix:
     Columns of the result are the Hermite-canonical basis ordered by
     pivot row; two matrices span the same column lattice iff their
     canonical forms are equal.
-
-    Unit columns, exactly {i: +-1}, are peeled off first. They span
-    Z^I on their rows I, so the lattice is Z^I plus the other columns
-    with the rows I dropped, and only that residual is echelonized. No
-    residual basis column has an entry on a row in I, and e_i has one
-    entry, on its pivot, so the two merged by pivot row are the
-    canonical basis of the whole lattice.
     """
-    units = {
-        i for c in a._cols if len(c) == 1 for i, v in c.items() if v in (1, -1)
-    }
     ech = _Echelon()
     for c in a._cols:
-        rest = {i: v for i, v in c.items() if i not in units}
-        if rest:
-            ech.insert(rest)
-    pivots = dict(ech.canonicalize())
-    pivots.update((i, {i: 1}) for i in units)
-    return SparseIntMatrix._adopt(a.nrows, [pivots[i] for i in sorted(pivots)])
+        ech.insert(dict(c))
+    return SparseIntMatrix._adopt(a.nrows, [row for _, row in ech.canonicalize()])
 
 
 def kernel_basis(a: SparseIntMatrix) -> SparseIntMatrix:
@@ -375,66 +364,42 @@ class LatticeSolver:
     """Repeated solves against a fixed basis in echelon form.
 
     The leading row of a column is its smallest nonzero row. The basis
-    columns must have distinct leading rows, as every :func:`column_hnf`
-    and :func:`kernel_basis` result has; such columns are independent,
-    and a solve is a forward substitution on the leading rows.
-
-    Row i is a private unit row when one column is exactly {i: +-1} and
-    no other column has an entry in row i. Its coefficient in a solve is
-    read straight off the vector. Every unit pivot of a canonical basis
-    is private, but the check is made, so any echelon basis stays exact.
+    columns must have distinct leading rows, as every :func:`column_hnf`,
+    :func:`kernel_basis` and :func:`lattice_sum_basis` result has; such
+    columns are independent, and a solve is a forward substitution on
+    the leading rows.
     """
 
     __slots__ = ("nrows", "_lead")
 
     def __init__(self, basis: SparseIntMatrix) -> None:
         self.nrows = basis.nrows
-        # leading row -> (column index, column, unit): unit is the +-1 of
-        # a private unit row and 0 on every other row
-        lead: dict[int, tuple[int, dict[int, int], int]] = {}
-        units: list[int] = []  # rows of the unit columns
-        touched: set[int] = set()  # rows of the other columns
+        lead: dict[int, tuple[int, dict[int, int]]] = {}  # leading row -> (index, column)
         for j, col in enumerate(basis._cols):
             if not col:
                 raise ValueError(f"basis column {j} is zero")
             i = min(col)
             if i in lead:
                 raise ValueError(f"basis columns {lead[i][0]} and {j} share leading row {i}")
-            if len(col) == 1 and col[i] in (1, -1):
-                lead[i] = (j, col, col[i])
-                units.append(i)
-            else:
-                lead[i] = (j, col, 0)
-                touched.update(col)
-        for i in touched.intersection(units):
-            j, col, _ = lead[i]
-            lead[i] = (j, col, 0)
+            lead[i] = (j, col)
         self._lead = lead
 
     def solve(self, v: Mapping[int, int]) -> dict[int, int] | None:
         """The nonzero coefficients c_j with basis @ c = v, as a dict, or
-        None if v is outside the lattice. A private unit row gives its
-        coefficient at once, and no other column touches that row; on the
-        rest, each step divides the smallest entry left in v by the column
-        that leads there, and subtracts."""
+        None if v is outside the lattice: each step divides the smallest
+        entry left in v by the column that leads there, and subtracts."""
         nrows, lead = self.nrows, self._lead
-        vec = {}
-        out = {}
-        for i, val in v.items():
+        for i in v:
             if not 0 <= i < nrows:
                 raise ValueError(f"coordinate {i} outside 0..{nrows - 1}")
-            if val:
-                hit = lead.get(i)
-                if hit is not None and hit[2]:
-                    out[hit[0]] = val * hit[2]
-                else:
-                    vec[i] = val
+        vec = {i: val for i, val in v.items() if val}
+        out = {}
         while vec:
             i = min(vec)
             hit = lead.get(i)
             if hit is None:
                 return None
-            j, col, _ = hit
+            j, col = hit
             q, r = divmod(vec[i], col[i])
             if r:
                 return None
@@ -443,11 +408,19 @@ class LatticeSolver:
         return out
 
 
-def lattice_sum_basis(a: SparseIntMatrix, b: SparseIntMatrix) -> SparseIntMatrix:
-    """Canonical basis of (column lattice of a) + (column lattice of b)."""
-    if a.nrows != b.nrows:
-        raise ValueError("row counts differ")
-    return column_hnf(SparseIntMatrix._adopt(a.nrows, a._cols + b._cols))
+def lattice_sum_basis(a: SparseIntMatrix, first: int) -> SparseIntMatrix:
+    """A basis in echelon form of the column lattice of ``a`` plus the
+    unit vectors of rows ``first`` on: the columns of ``a`` echelonized
+    until their leading row reaches ``first``, then those unit columns.
+    The echelon columns come first, by leading row; each is an integer
+    combination of columns of ``a``."""
+    if not 0 <= first <= a.nrows:
+        raise ValueError(f"first row {first} outside 0..{a.nrows}")
+    ech = _Echelon()
+    for c in a._cols:
+        ech.insert(dict(c), first)
+    cols = [ech.rows[i] for i in sorted(ech.rows)]
+    return SparseIntMatrix._adopt(a.nrows, cols + [{i: 1} for i in range(first, a.nrows)])
 
 
 @dataclass(frozen=True)

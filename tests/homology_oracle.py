@@ -12,10 +12,14 @@ end in a Smith normal form (the library's on the unit-free residual
 only); in between, the reduction shares no code with either oracle.
 
 Coordinates: the library builds the infimum on the hyperedges alone and
-the supremum on facet coordinates (n-hyperedges and facets of
-(n+1)-hyperedges). The oracles here build both, as the library once
-did, inside the chain complex of the whole downward closure, with the
-closure itself as coordinates.
+the supremum on facet coordinates (facets of (n+1)-hyperedges, then
+n-hyperedges), and differentiates hyperedges only. The oracles here
+build both, as the library once did, inside the chain complex of the
+whole downward closure, with the closure itself as coordinates, and
+take the boundary of every closure simplex.
+:func:`oracle_restricted_boundaries` differentiates every basis column
+as it stands, where the library gives the supremum's cycles zero
+columns unsolved.
 
 Boundaries: the library reads a cell's signed faces off its chain type,
 for simplices and simplex pairs alike. The oracles here write the two
@@ -35,11 +39,12 @@ solves as the library once did: it echelonizes the basis columns with
 identity tails, so it takes any independent basis, and reads the
 coefficients off the tails. :func:`oracle_chain_homology` solves with it.
 
-Hermite bases: the library's ``column_hnf`` peels the unit columns off
-and echelonizes only what the others leave on the remaining rows.
-:func:`oracle_column_hnf` echelonizes every column as it stands, as the
-library once did, and :func:`oracle_sup_chain` takes its lattice sums
-with it.
+Hermite bases: the library's supremum basis is an echelon, not
+canonical: the boundaries from one degree up, reduced only until they
+lead on a hyperedge row, then a unit column per hyperedge.
+:func:`oracle_sup_chain` takes the Hermite-canonical basis of the whole
+lattice sum instead, with :func:`oracle_column_hnf`, which echelonizes
+every column as it stands; the tests compare the two as lattices.
 
 Restricted boundaries: the library writes them with ``map_in_bases``,
 which solves each image with ``LatticeSolver``.

@@ -151,8 +151,8 @@ def test_a_planted_supremum_fault_is_reported_minimized(monkeypatch) -> None:
     # span is left, which is boundary-stable only on a closed hypergraph
     real = homology.lattice_sum_basis
 
-    def span_only(span, image):
-        return real(span, SparseIntMatrix(image.nrows, 0))
+    def span_only(image, first):
+        return real(SparseIntMatrix(image.nrows, 0), first)
 
     monkeypatch.setattr(homology, "lattice_sum_basis", span_only)
     for f in _assert_minimized(run_fuzz(SMALL), "inf-sup"):

@@ -1,5 +1,8 @@
 """Boundary matrices, infimum/supremum complexes, and embedded homology."""
 
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -19,6 +22,7 @@ from homology_oracle import (
 )
 from hyperhom.abelian import FGAbelianGroup
 from hyperhom.errors import IntegrityError, ValidationError
+from hyperhom.fuzz import check_pair
 from hyperhom.examples import (
     homology_demo_pair,
     projective_plane,
@@ -139,26 +143,34 @@ def test_boundary_squares_to_zero_everywhere(h):
 @settings(max_examples=30)
 @given(small_hypergraphs(), sparse_wide_hypergraphs(), small_pairs(), st.data())
 def test_boundaries_match_the_face_rule_oracles(h, wide, pair, data):
-    # hyperedge and facet coordinates (with overflow rows), closures, and
-    # simplex pairs
-    for c in (
-        h.coordinates,
-        facet_coordinates(h),
-        facet_coordinates(wide),
-        h.closure.coordinates,
-    ):
-        for n in range(c.top_degree + 1):
-            assert boundary_matrix(c, n) == oracle_boundary_matrix(c, n)
-    # the tensor boundary has columns on the hyperedge pairs alone
-    ctx = TensorContext.from_hypergraphs(*pair)
+    # hyperedge coordinates (with overflow rows), facet coordinates,
+    # closures, and simplex pairs: a boundary has the oracle's columns on
+    # the hyperedges (pairs), its generators, and no other column
     left, right = pair
+    ctx = TensorContext.from_hypergraphs(left, right)
+    facets = facet_coordinates(h), facet_coordinates(wide)
+    cases = [
+        (h.coordinates, oracle_boundary_matrix, lambda s: True),
+        (facets[0], oracle_boundary_matrix, lambda s: s in h.edges),
+        (facets[1], oracle_boundary_matrix, lambda s: s in wide.edges),
+        (h.closure.coordinates, oracle_boundary_matrix, lambda s: True),
+        (ctx, oracle_tensor_boundary_matrix, lambda p: p[0] in left.edges and p[1] in right.edges),
+    ]
+    for c, oracle, is_generator in cases:
+        for n in range(c.top_degree + 1):
+            d, want = boundary_matrix(c, n), oracle(c, n)
+            cells = c.simplices_of_dim(n)
+            generators = [j for j, s in enumerate(cells) if is_generator(s)]
+            assert list(c.generators[n]) == generators
+            # every face of a hyperedge is a facet coordinate: no overflow
+            no_overflow = any(c is f for f in facets)
+            assert d.nrows == (len(c.simplices_of_dim(n - 1)) if no_overflow else want.nrows)
+            assert d.ncols == len(cells)
+            for j in range(len(cells)):
+                assert d.column(j) == (want.column(j) if j in generators else {})
+    # the tensor boundary on random chains
     for n in range(ctx.top_degree + 1):
-        d, want = boundary_matrix(ctx, n), oracle_tensor_boundary_matrix(ctx, n)
         cells = ctx.simplices_of_dim(n)
-        assert d.nrows == want.nrows and d.ncols == len(cells)
-        for j, (s, u) in enumerate(cells):
-            hyperedge_pair = s in left.edges and u in right.edges
-            assert d.column(j) == (want.column(j) if hyperedge_pair else {})
         if cells:
             nonzero = st.integers(-3, 3).filter(bool)
             coeffs = data.draw(st.dictionaries(st.sampled_from(cells), nonzero))
@@ -236,13 +248,16 @@ def test_only_the_supremum_builds_facet_coordinates(spy, verify):
     columns = spy(homology, "boundary_matrix")
     embedded_homology(box, verify=verify)
     assert len(facets) == verify
-    # the infimum builds one boundary column per hyperedge of the product,
-    # and with verify the supremum's facet coordinates take the other calls
-    inf_columns = [
-        len(c.simplices_of_dim(n)) for (c, n), _ in columns if c is box.coordinates
-    ]
-    assert sum(inf_columns) == len(box.edges)
-    assert len(columns) == len(inf_columns) * (1 + verify)
+    # each route builds one boundary column per hyperedge of the product
+    # on its own coordinates, and none for a facet
+    built: dict[int, int] = {}
+    for (c, n), _ in columns:
+        cells = c.simplices_of_dim(n)
+        assert sorted(cells[j] for j in c.generators[n]) == sorted(box.edges_of_dim(n))
+        assert all(not c.boundaries[n].column(j) for j in range(len(cells))
+                   if j not in c.generators[n])
+        built[id(c)] = built.get(id(c), 0) + len(c.generators[n])
+    assert list(built.values()) == [len(box.edges)] * (1 + verify)
 
 
 # ---------------------------------------------------------------- supremum
@@ -257,6 +272,22 @@ def test_sup_adjoins_boundary_of_top_cell():
     assert [s.basis_rank(n) for n in range(s.top_degree + 1)] == [1, 1, 1, 0]
 
 
+def test_sup_basis_is_cycles_then_hyperedges():
+    # degree 1: the facets {v0,v1}, {v1,v2}, then the hyperedge {v0,v2};
+    # the boundary of the triangle leads on a facet row, and the unit
+    # column on the hyperedge comes last
+    h = parse_hypergraph("v0\nv0 v2\nv0 v1 v2\n")
+    s = sup_chain(h)
+    assert s.coordinates.simplices[1] == ((0, 1), (1, 2), (0, 2))
+    assert [s.bases[1].column(j) for j in range(2)] == [{0: 1, 1: 1, 2: -1}, {2: 1}]
+    # degree 0 is the facet {v2}, then the hyperedge {v0}, and its basis
+    # the boundary v2 - v0 of {v0,v2}, then the unit on {v0}
+    assert s.coordinates.simplices[0] == ((2,), (0,))
+    assert [s.bases[0].column(j) for j in range(2)] == [{0: 1, 1: -1}, {1: 1}]
+    # the cycle maps to zero unsolved, the hyperedge to that boundary
+    assert s.restricted[1].to_rows() == [[0, 1], [0, 0]]
+
+
 def test_sup_of_closed_complex_is_full_span():
     k = triangle_boundary()
     s = sup_chain(k)
@@ -268,16 +299,17 @@ def test_sup_of_closed_complex_is_full_span():
 
 def test_coordinates_are_hyperedges_and_their_facets():
     h = parse_hypergraph("v0\nv0 v1 v2\n")
-    # the infimum's coordinates are the hyperedges, the supremum's add
-    # their facets
+    # the infimum's coordinates are the hyperedges, the supremum's put
+    # the facets that are no hyperedge before them
     assert h.coordinates.simplices == (((0,),), (), ((0, 1, 2),), ())
     c = facet_coordinates(h)
     assert c.simplices == (((0,),), ((0, 1), (0, 2), (1, 2)), ((0, 1, 2),), ())
-    # the faces {v1} and {v2} are no coordinates of degree 0: each gets an
-    # overflow row after the row of {v0}
-    d1 = c.boundaries[1]
-    assert d1.nrows == 3
-    assert [d1.column(j) for j in range(3)] == [{0: -1, 1: 1}, {0: -1, 2: 1}, {1: -1, 2: 1}]
+    assert [list(g) for g in c.generators] == [[0], [], [0], []]
+    # the facets have no boundary columns, and the faces of the triangle
+    # are coordinates: no overflow rows
+    d1, d2 = c.boundaries[1], c.boundaries[2]
+    assert d1.nrows == 1 and d1.ncols == 3 and d1.is_zero()
+    assert d2.nrows == 3 and d2.column(0) == {0: 1, 1: -1, 2: 1}
 
 
 @settings(max_examples=40)
@@ -287,25 +319,56 @@ def test_a_complex_is_its_own_facet_coordinates(h):
     # adds nothing
     k = associated_complex(h)
     want = facet_coordinates(k)
-    assert k.coordinates == want
+    assert k.coordinates.simplices == want.simplices
+    assert k.coordinates.generators == want.generators
     assert k.coordinates.boundaries == want.boundaries
 
 
 def test_face_outside_the_coordinates_is_refused():
-    h = parse_hypergraph("v0\nv0 v1 v2\n")
-    c = facet_coordinates(h)
-    # the bare facet {v0,v1}: its face {v1} is no coordinate of degree 0,
+    c = parse_hypergraph("v0\nv0 v1\n").coordinates
+    # the bare edge {v0,v1}: its face {v1} is no coordinate of degree 0,
     # so only an overflow row shows that its image leaves the span of {v0}
-    facet = SparseIntMatrix.from_columns(3, [{c.simplex_positions(1)[(0, 1)]: 1}])
-    bases = (
-        SparseIntMatrix.identity(1),
-        facet,
-        SparseIntMatrix(1, 0),
-        SparseIntMatrix(0, 0),
-    )
+    bases = (SparseIntMatrix.identity(1), SparseIntMatrix.identity(1), SparseIntMatrix(0, 0))
     m = GradedSubmodule(c, bases)
     with pytest.raises(IntegrityError, match="outside the degree-0 coordinates"):
         restricted_boundaries(m)
+
+
+def test_a_column_off_the_generators_is_refused():
+    # the boundary has no column off the generators to read: a basis
+    # column there must not pass for a cycle. Here the tensor complex of
+    # a triangle and a point would read [Z^2, Z, 0, 0], not [Z, 0, 0, 0]
+    ctx = TensorContext(parse_hypergraph("v0 v1 v2\n"), parse_hypergraph("w0\n"))
+    pos = ctx.simplex_positions
+    bases = (
+        SparseIntMatrix.from_columns(3, [{pos(0)[((0,), (0,))]: 1}, {pos(0)[((1,), (0,))]: 1}]),
+        SparseIntMatrix.from_columns(3, [{pos(1)[((0, 1), (0,))]: 1}]),
+        SparseIntMatrix(1, 0),
+        SparseIntMatrix(0, 0),
+    )
+    m = GradedSubmodule(ctx, bases)
+    with pytest.raises(IntegrityError, match="degree-0 basis column 0 has an entry off"):
+        submodule_homology(m)
+    # the supremum's cycles lead on facet rows: a hand-built copy, which
+    # does not know them as cycles, is refused too
+    s = parse_hypergraph("v0\nv0 v1 v2\n").sup
+    with pytest.raises(IntegrityError, match="degree-1 basis column 0 has an entry off"):
+        restricted_boundaries(GradedSubmodule(s.coordinates, s.bases))
+
+
+def test_a_hypergraph_is_freed_without_the_cycle_collector():
+    # the cached routes hold no reference back to the hypergraph, so it
+    # goes as soon as the last outside reference does
+    h, h2 = tensor_membership_pair()
+    gc.disable()
+    try:
+        embedded_homology(h, verify=True)
+        assert check_pair(h, h2) is None
+        refs = weakref.ref(h), weakref.ref(h2)
+        del h, h2
+        assert [r() for r in refs] == [None, None]
+    finally:
+        gc.enable()
 
 
 def test_a_boundary_outside_the_lattice_is_refused():
@@ -340,11 +403,10 @@ def test_a_boundary_outside_the_lattice_is_refused():
         (
             # degree 0 is {v0} only; the cycle {0,1} + {1,2} - {0,2} has
             # boundary zero, but {0,3} and {2,3} reach v3
-            "v0\nv0 v1 v2\nv0 v2 v3\n",
+            "v0\nv0 v1\nv0 v2\nv0 v3\nv1 v2\nv2 v3\n",
             (
                 SparseIntMatrix.identity(1),
                 SparseIntMatrix.from_columns(5, [{0: 1, 1: -1, 3: 1}, {2: 1}, {4: 1}]),
-                SparseIntMatrix(2, 0),
                 SparseIntMatrix(0, 0),
             ),
             "degree-1 basis column 1 has a face outside the degree-0 coordinates",
@@ -353,7 +415,7 @@ def test_a_boundary_outside_the_lattice_is_refused():
     ids=["outside-the-lattice", "outside-the-coordinates"],
 )
 def test_a_refusal_names_the_first_failing_column(edges, bases, message):
-    m = GradedSubmodule(facet_coordinates(parse_hypergraph(edges)), bases)
+    m = GradedSubmodule(parse_hypergraph(edges).coordinates, bases)
     with pytest.raises(IntegrityError, match=message):
         restricted_boundaries(m)
 
@@ -387,10 +449,19 @@ def _basis_chains(m, n):
 
 
 def _assert_matches_closure_oracle(h):
-    for mine, oracle in ((h.inf, oracle_inf_chain(h)), (h.sup, oracle_sup_chain(h))):
+    inf, sup = oracle_inf_chain(h), oracle_sup_chain(h)
+    k = sup.coordinates
+    for mine, oracle in ((h.inf, inf), (h.sup, sup)):
         assert mine.top_degree == oracle.top_degree
         for n in range(mine.top_degree + 1):
-            assert _basis_chains(mine, n) == _basis_chains(oracle, n)
+            if mine is h.inf:
+                assert _basis_chains(mine, n) == _basis_chains(oracle, n)
+                continue
+            # the supremum basis is an echelon, not canonical: its lattice
+            # in the closure coordinates must be the oracle's
+            cols = [k.to_vector(c) for c in _basis_chains(mine, n)]
+            span = SparseIntMatrix.from_columns(len(k.simplices_of_dim(n)), cols)
+            assert oracle_column_hnf(span) == oracle.bases[n]
         for coeff in (INTEGERS, RATIONALS, mod_p(2)):
             assert mine.homology(coeff) == submodule_homology(oracle, coeff), coeff
 
@@ -456,6 +527,7 @@ def test_boundaries_that_do_not_compose_to_zero_are_refused(spy, coeff):
     # d_1 @ d_2 = 1 although d_1 has the nonzero cycle e_2. Full bases are
     # boundary-stable, so restricted_boundaries accepts the module.
     class Coordinates:
+        generators = ((0,), (0, 1), (0,))
         boundaries = (
             SparseIntMatrix(0, 1),
             SparseIntMatrix.from_rows([[1, 0]]),

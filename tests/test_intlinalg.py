@@ -610,11 +610,13 @@ def test_forward_substitution_matches_the_echelon_oracle(a, kernel, shears, flip
 
 
 def test_lattice_sum_worked_example():
-    a = SparseIntMatrix.from_rows([[2], [0]])
-    b = SparseIntMatrix.from_rows([[3], [0]])
-    s = lattice_sum_basis(a, b)
-    assert dense(s) == [[1], [0]]
-    assert lattice_sum_basis(b, a) == s
+    a = SparseIntMatrix.from_rows([[2, 3], [0, 0], [1, 5]])
+    # the gcd move leaves (1, 0, 4) = -a0 + a1 and (0, 0, 7) = -3 a0 + 2 a1
+    assert dense(lattice_sum_basis(a, 3)) == [[1, 0], [0, 0], [4, 7]]
+    # with the unit vector of row 2 in the sum, the second one leads on
+    # row 2 and is dropped; the echelon column keeps its entry there
+    assert dense(lattice_sum_basis(a, 2)) == [[1, 0], [0, 0], [4, 1]]
+    assert dense(lattice_sum_basis(a, 0)) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
 
 def brute_force_lattice_points(basis: SparseIntMatrix, box: int) -> set[tuple[int, ...]]:
@@ -630,25 +632,37 @@ def brute_force_lattice_points(basis: SparseIntMatrix, box: int) -> set[tuple[in
 
 
 def test_lattice_ops_against_brute_force():
-    a = SparseIntMatrix.from_rows([[2, 1], [0, 3]])
-    b = SparseIntMatrix.from_rows([[4, 0], [0, 2]])
+    a = SparseIntMatrix.from_rows([[2, 1], [0, 3], [4, 0]])
+    units = SparseIntMatrix.from_rows([[0], [0], [1]])
     pa = brute_force_lattice_points(a, 8)
-    pb = brute_force_lattice_points(b, 8)
-    solver = LatticeSolver(lattice_sum_basis(a, b))
+    pb = brute_force_lattice_points(units, 8)
+    solver = LatticeSolver(lattice_sum_basis(a, 2))
     for p in itertools.islice(sorted(pa | pb), 0, 40):
         assert solver.solve(dict(enumerate(p))) is not None
+    # 2 x + y = 1 and 3 y = 0 have no integer solution
+    assert solver.solve({0: 1}) is None
 
 
-@given(int_matrices(max_dim=3), int_matrices(max_dim=3))
-def test_lattice_algebra_properties(a, b):
-    if a.nrows != b.nrows:
-        return
-    s = lattice_sum_basis(a, b)
-    if s.ncols:
-        sum_solver = LatticeSolver(s)
-        for m in (a, b):
-            for j in range(m.ncols):
-                assert sum_solver.solve(m.column(j)) is not None
+@given(int_matrices(max_dim=5), st.data())
+def test_lattice_algebra_properties(a, data):
+    first = data.draw(st.integers(0, a.nrows))
+    s = lattice_sum_basis(a, first)
+    units = [{i: 1} for i in range(first, a.nrows)]
+    cols = [a.column(j) for j in range(a.ncols)]
+    # the lattice of the columns of a and the unit vectors from row first
+    assert oracle_column_hnf(s) == oracle_column_hnf(
+        SparseIntMatrix.from_columns(a.nrows, cols + units)
+    )
+    # an echelon: columns leading above row first, then the unit vectors
+    k = s.ncols - len(units)
+    assert [s.column(j) for j in range(k, s.ncols)] == units
+    leads = [min(s.column(j)) for j in range(s.ncols)]
+    assert leads == sorted(set(leads)) and all(i < first for i in leads[:k])
+    # whose first columns are integer combinations of the columns of a
+    echelon = [s.column(j) for j in range(k)]
+    assert oracle_column_hnf(SparseIntMatrix.from_columns(a.nrows, cols + echelon)) == (
+        oracle_column_hnf(a)
+    )
 
 
 # ------------------------------------------------------------------- HNF
@@ -677,26 +691,6 @@ def test_column_hnf_spans_same_lattice(a):
     solver = LatticeSolver(h)
     for j in range(a.ncols):
         assert solver.solve(a.column(j)) is not None
-
-
-@given(int_matrices(max_dim=6), st.data())
-def test_peeled_column_hnf_matches_the_whole_matrix_oracle(a, data):
-    # unit columns, duplicated and negated at will, and columns that live
-    # on the unit rows alone (their residual is zero), mixed into a
-    # random matrix in a random order
-    units = data.draw(
-        st.lists(st.tuples(st.integers(0, a.nrows - 1), st.sampled_from([1, -1])), max_size=6)
-    )
-    unit_rows = sorted({i for i, _ in units})
-    shadows = []
-    if unit_rows:
-        shadows = data.draw(
-            st.lists(st.dictionaries(st.sampled_from(unit_rows), small_entries), max_size=3)
-        )
-    cols = [a.column(j) for j in range(a.ncols)] + [{i: u} for i, u in units] + shadows
-    order = data.draw(st.permutations(range(len(cols))))
-    m = SparseIntMatrix.from_columns(a.nrows, [cols[k] for k in order])
-    assert column_hnf(m) == oracle_column_hnf(m)
 
 
 def quadratic_canonicalize(ech: _Echelon) -> list[tuple[int, dict[int, int]]]:
@@ -729,8 +723,7 @@ def test_sparse_back_substitution_matches_quadratic_reference(a):
         assert kernel_basis(a) == ker
 
 
-def test_lattice_sum_basis_refuses_different_row_counts():
-    a = SparseIntMatrix(2, 1)
-    b = SparseIntMatrix(3, 1)
-    with pytest.raises(ValueError, match="row counts differ"):
-        lattice_sum_basis(a, b)
+def test_lattice_sum_basis_refuses_a_first_row_outside_the_rows():
+    for first in (-1, 3):
+        with pytest.raises(ValueError, match="outside 0..2"):
+            lattice_sum_basis(SparseIntMatrix(2, 1), first)
