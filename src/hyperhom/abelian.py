@@ -16,11 +16,11 @@ FGAbelianGroup(rank=0, invariants=(6,))
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from typing import Iterable
 
 from .intlinalg import SparseIntMatrix, invariant_factors
+from .value import Value
 
 
 def _regroup(torsion: Iterable[int]) -> tuple[int, ...]:
@@ -42,8 +42,7 @@ def _regroup(torsion: Iterable[int]) -> tuple[int, ...]:
     return tuple(chain)
 
 
-@dataclass(frozen=True)
-class FGAbelianGroup:
+class FGAbelianGroup(Value):
     """Isomorphism class of a finitely generated abelian group.
 
     ``rank`` is the free rank; ``invariants`` is the ascending
@@ -52,8 +51,10 @@ class FGAbelianGroup:
     canonical form is enforced.
     """
 
-    rank: int
-    invariants: tuple[int, ...] = ()
+    def __init__(self, rank: int, invariants: tuple[int, ...] = ()) -> None:
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "invariants", invariants)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.rank < 0:

@@ -12,7 +12,6 @@ import argparse
 import json
 import sys
 from collections.abc import Callable
-from dataclasses import dataclass
 from functools import cache, partial
 from pathlib import Path
 
@@ -43,24 +42,30 @@ from .kunneth import (
     render_tensor_chain,
     restricted_chainmap_check,
 )
+from .value import Value
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Value):
     """One resolved invocation; every default lives here, except the fuzz
     size bounds, which :class:`FuzzConfig` fills in when left as None."""
 
-    command: str
-    inputs: tuple[str, ...] = ()
-    coeff: Coefficient = INTEGERS
-    verify: bool = False
-    seed: int = 0
-    out_format: str = "text"
-    max_dim: int | None = None
-    out_path: str | None = None
-    closure: bool = False
-    count: int = 100
-    max_vertices: int | None = None
+    def __init__(
+        self, command: str, inputs: tuple[str, ...] = (), coeff: Coefficient = INTEGERS,
+        verify: bool = False, seed: int = 0, out_format: str = "text",
+        max_dim: int | None = None, out_path: str | None = None, closure: bool = False,
+        count: int = 100, max_vertices: int | None = None,
+    ) -> None:
+        object.__setattr__(self, "command", command)
+        object.__setattr__(self, "inputs", inputs)
+        object.__setattr__(self, "coeff", coeff)
+        object.__setattr__(self, "verify", verify)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "out_format", out_format)
+        object.__setattr__(self, "max_dim", max_dim)
+        object.__setattr__(self, "out_path", out_path)
+        object.__setattr__(self, "closure", closure)
+        object.__setattr__(self, "count", count)
+        object.__setattr__(self, "max_vertices", max_vertices)
 
 
 def _build_parser() -> argparse.ArgumentParser:

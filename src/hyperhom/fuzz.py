@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 
 from .errors import IntegrityError, ValidationError
 from .homology import INTEGERS, RATIONALS, embedded_homology, mod_p
@@ -38,20 +37,25 @@ from .hypergraph import (
     to_text,
 )
 from .kunneth import kunneth_check, restricted_chainmap_check
+from .value import Value
 
 _INDEX_STRIDE = 2_000_003
 
 FUZZ_COEFFS = (INTEGERS, RATIONALS, mod_p(2), mod_p(3))
 
 
-@dataclass(frozen=True)
-class FuzzConfig:
-    count: int
-    seed: int
-    max_vertices: int = 6
-    max_dim: int = 3
+class FuzzConfig(Value):
+    def __init__(self, count: int, seed: int, max_vertices: int = 6, max_dim: int = 3) -> None:
+        object.__setattr__(self, "count", count)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "max_vertices", max_vertices)
+        object.__setattr__(self, "max_dim", max_dim)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
+        for name in self._fields:
+            if not isinstance(getattr(self, name), int):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.count < 0:
             raise ValueError("count must be non-negative")
         if self.max_vertices < 1:
@@ -165,20 +169,22 @@ def shrink_pair(
     return pair[0], pair[1]
 
 
-@dataclass(frozen=True)
-class FuzzFailure:
-    index: int
-    category: str
-    detail: str
-    left: Hypergraph
-    right: Hypergraph
+class FuzzFailure(Value):
+    def __init__(
+        self, index: int, category: str, detail: str, left: Hypergraph, right: Hypergraph
+    ) -> None:
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "category", category)
+        object.__setattr__(self, "detail", detail)
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
-@dataclass(frozen=True)
-class FuzzReport:
-    config: FuzzConfig
-    checked: int
-    failures: tuple[FuzzFailure, ...]
+class FuzzReport(Value):
+    def __init__(self, config: FuzzConfig, checked: int, failures: tuple[FuzzFailure, ...]) -> None:
+        object.__setattr__(self, "config", config)
+        object.__setattr__(self, "checked", checked)
+        object.__setattr__(self, "failures", failures)
 
     @property
     def ok(self) -> bool:

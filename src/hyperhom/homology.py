@@ -42,7 +42,6 @@ Betti numbers compare two routes that share no elimination.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -59,6 +58,7 @@ from .intlinalg import (
     rank,
     rank_mod_p,
 )
+from .value import Value
 
 # ------------------------------------------------------------ coefficients
 
@@ -69,23 +69,24 @@ from .intlinalg import (
 MAX_MODULUS = 1 << 31
 
 
-@dataclass(frozen=True)
-class Coefficient:
+class Coefficient(Value):
     """Coefficient ring: the integers ("z"), the rationals ("q"), or a
     prime field ("zp" with the prime)."""
 
-    kind: str
-    p: int | None = None
+    def __init__(self, kind: str, p: int | None = None) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "p", p)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.kind not in ("z", "q", "zp"):
             raise ValidationError(f"unknown coefficient kind: {self.kind!r}")
         if self.kind == "zp":
-            if self.p is not None and self.p >= MAX_MODULUS:
-                raise ValidationError(
-                    f"zp modulus must be below {MAX_MODULUS}, got {self.p}"
-                )
-            if self.p is None or not is_prime(self.p):
+            if not isinstance(self.p, int):
+                raise ValidationError(f"zp modulus must be an integer, got {self.p!r}")
+            if self.p >= MAX_MODULUS:
+                raise ValidationError(f"zp modulus must be below {MAX_MODULUS}, got {self.p}")
+            if not is_prime(self.p):
                 raise ValidationError(f"zp modulus must be prime, got {self.p!r}")
         elif self.p is not None:
             raise ValidationError(f"{self.kind!r} coefficients take no modulus")
@@ -124,8 +125,7 @@ def parse_coefficient(text: str) -> Coefficient:
 # ------------------------------------------------------------------- chains
 
 
-@dataclass(frozen=True)
-class ChainElement:
+class ChainElement(Value):
     """Formal integer combination of cells of one degree.
 
     The cells are simplices here: strictly increasing vertex-index
@@ -134,8 +134,10 @@ class ChainElement:
     coefficients are never stored.
     """
 
-    degree: int
-    coeffs: dict
+    def __init__(self, degree: int, coeffs: dict) -> None:
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "coeffs", coeffs)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         cell_degree = self.cell_degree
@@ -272,7 +274,7 @@ class Coordinates:
         """Map each degree-n cell to its position; read-only."""
         return self._positions[n] if 0 <= n < len(self.simplices) else {}
 
-    @property
+    @cached_property
     def generators(self) -> tuple[Sequence[int], ...]:
         """Per degree, the rising positions of the cells the boundary has
         columns on and an infimum is spanned by: all, unless narrowed."""
@@ -296,23 +298,24 @@ class Coordinates:
         return out
 
 
-@dataclass(frozen=True)
-class SimplexCoordinates(Coordinates):
+class SimplexCoordinates(Coordinates, Value):
     """Coordinates on simplices: a hypergraph's ``coordinates`` are its
     hyperedges, which for a :class:`SimplicialComplex` are all its
     simplices, and :func:`facet_coordinates` adds the facets."""
 
-    simplices: tuple[tuple[tuple[int, ...], ...], ...]
+    def __init__(self, simplices: tuple[tuple[tuple[int, ...], ...], ...]) -> None:
+        object.__setattr__(self, "simplices", simplices)
 
 
-@dataclass(frozen=True)
 class _FacetCoordinates(SimplexCoordinates):
     """:func:`facet_coordinates`: the last ``edges[n]`` cells of degree n
     are the n-hyperedges, and the generators."""
 
-    edges: tuple[int, ...]
+    def __init__(self, simplices: tuple[tuple, ...], edges: tuple[int, ...]) -> None:
+        object.__setattr__(self, "simplices", simplices)
+        object.__setattr__(self, "edges", edges)
 
-    @property
+    @cached_property
     def generators(self) -> tuple[Sequence[int], ...]:
         return tuple(range(len(b) - k, len(b)) for b, k in zip(self.simplices, self.edges))
 
@@ -334,8 +337,7 @@ def facet_coordinates(h: Hypergraph) -> SimplexCoordinates:
 # ---------------------------------------------------------- graded modules
 
 
-@dataclass(frozen=True)
-class GradedSubmodule:
+class GradedSubmodule(Value):
     """A graded submodule of a chain complex: the complex's coordinates
     and one basis per degree.
 
@@ -353,8 +355,10 @@ class GradedSubmodule:
     :class:`LatticeSolver` can solve against it.
     """
 
-    coordinates: Coordinates
-    bases: tuple[SparseIntMatrix, ...]
+    def __init__(self, coordinates: Coordinates, bases: tuple[SparseIntMatrix, ...]) -> None:
+        object.__setattr__(self, "coordinates", coordinates)
+        object.__setattr__(self, "bases", bases)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         for n, b in enumerate(self.bases):

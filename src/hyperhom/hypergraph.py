@@ -20,11 +20,11 @@ import json
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, Iterable, Sequence, TypeVar
 
 from .errors import FormatError, ValidationError
+from .value import Value
 
 if TYPE_CHECKING:
     from .homology import GradedSubmodule, SimplexCoordinates
@@ -39,8 +39,7 @@ def _canonical_edges(edges: Iterable[tuple[int, ...]]) -> tuple[tuple[int, ...],
     return tuple(sorted(sorted(set(edges)), key=len))
 
 
-@dataclass(frozen=True)
-class Hypergraph:
+class Hypergraph(Value):
     """Immutable hypergraph over an explicitly ordered vertex set.
 
     ``vertices`` fixes the total order (position = vertex index);
@@ -50,8 +49,10 @@ class Hypergraph:
     the index tuples are already canonical.
     """
 
-    vertices: tuple[str, ...]
-    edges: tuple[tuple[int, ...], ...]
+    def __init__(self, vertices: tuple[str, ...], edges: tuple[tuple[int, ...], ...]) -> None:
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "edges", edges)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         n = len(self.vertices)
@@ -168,7 +169,6 @@ class Hypergraph:
         return {}
 
 
-@dataclass(frozen=True)
 class SimplicialComplex(Hypergraph):
     """Hypergraph closed under taking nonempty subsets."""
 

@@ -16,8 +16,9 @@ supremum's too, by forward substitution.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
+
+from .value import Value
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -423,17 +424,17 @@ def lattice_sum_basis(a: SparseIntMatrix, first: int) -> SparseIntMatrix:
     return SparseIntMatrix._adopt(a.nrows, cols + [{i: 1} for i in range(first, a.nrows)])
 
 
-@dataclass(frozen=True)
-class SNFResult:
+class SNFResult(Value):
     """Smith normal form: left @ a @ right = diag(d), transforms unimodular.
 
     d is the ascending divisibility chain of positive invariant factors;
     its length is the rank.
     """
 
-    d: tuple[int, ...]
-    left: SparseIntMatrix
-    right: SparseIntMatrix
+    def __init__(self, d: tuple[int, ...], left: SparseIntMatrix, right: SparseIntMatrix) -> None:
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
 def smith_normal_form(a: SparseIntMatrix, pivot_order: str = "markowitz") -> SNFResult:

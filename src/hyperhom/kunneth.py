@@ -22,7 +22,6 @@ becomes a Betti-number convolution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .abelian import FGAbelianGroup, direct_sum
@@ -43,6 +42,7 @@ from .homology import (
 )
 from .hypergraph import Hypergraph, lattice_paths, product_boxtimes
 from .intlinalg import SparseIntMatrix
+from .value import Value
 
 SimplexPair = tuple[tuple[int, ...], tuple[int, ...]]
 
@@ -80,8 +80,7 @@ class TensorChain(ChainElement):
 # ----------------------------------------------------------------- contexts
 
 
-@dataclass(frozen=True)
-class TensorContext(Coordinates):
+class TensorContext(Coordinates, Value):
     """Coordinates for the tensor product of two hypergraphs' closure
     complexes: per degree n, one cell per pair of closure simplices with
     dimensions summing to n, blocks by ascending left dimension, each
@@ -91,8 +90,10 @@ class TensorContext(Coordinates):
     cells."""
 
     chain = TensorChain
-    left: Hypergraph
-    right: Hypergraph
+
+    def __init__(self, left: Hypergraph, right: Hypergraph) -> None:
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
     @classmethod
     def from_hypergraphs(cls, h: Hypergraph, h2: Hypergraph) -> "TensorContext":
@@ -233,19 +234,22 @@ def render_tensor_chain(t: TensorChain, left: Hypergraph, right: Hypergraph) -> 
 # ------------------------------------------------------------- reporting
 
 
-@dataclass(frozen=True)
-class KunnethRow:
-    degree: int
-    tensor_part: FGAbelianGroup | int
-    tor_part: FGAbelianGroup | int
-    product_value: FGAbelianGroup | int
-    ok: bool
+class KunnethRow(Value):
+    def __init__(
+        self, degree: int, tensor_part: FGAbelianGroup | int, tor_part: FGAbelianGroup | int,
+        product_value: FGAbelianGroup | int, ok: bool,
+    ) -> None:
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "tensor_part", tensor_part)
+        object.__setattr__(self, "tor_part", tor_part)
+        object.__setattr__(self, "product_value", product_value)
+        object.__setattr__(self, "ok", ok)
 
 
-@dataclass(frozen=True)
-class KunnethReport:
-    coeff: Coefficient
-    rows: tuple[KunnethRow, ...]
+class KunnethReport(Value):
+    def __init__(self, coeff: Coefficient, rows: tuple[KunnethRow, ...]) -> None:
+        object.__setattr__(self, "coeff", coeff)
+        object.__setattr__(self, "rows", rows)
 
     @property
     def ok(self) -> bool:
@@ -279,11 +283,13 @@ class KunnethReport:
         return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class ChainMapReport:
-    top_degree: int
-    tensor_columns_checked: int
-    product_columns_checked: int
+class ChainMapReport(Value):
+    def __init__(
+        self, top_degree: int, tensor_columns_checked: int, product_columns_checked: int
+    ) -> None:
+        object.__setattr__(self, "top_degree", top_degree)
+        object.__setattr__(self, "tensor_columns_checked", tensor_columns_checked)
+        object.__setattr__(self, "product_columns_checked", product_columns_checked)
 
 
 # ---------------------------------------------------------------- checks

@@ -33,6 +33,11 @@ def test_config_rejects_bad_bounds() -> None:
     with pytest.raises(ValueError, match="1401291 candidate hyperedges"):
         FuzzConfig(count=1, seed=0, max_vertices=21, max_dim=10)
     FuzzConfig(count=1, seed=0, max_vertices=20, max_dim=19)  # 2^20 - 1
+    # a float would pass every bound and fail only inside the campaign
+    with pytest.raises(ValueError, match="count must be an integer, got 2.5"):
+        FuzzConfig(count=2.5, seed=1)
+    with pytest.raises(ValueError, match="max_dim must be an integer, got 2.0"):
+        FuzzConfig(count=1, seed=0, max_dim=2.0)
 
 
 def test_instance_pair_is_deterministic() -> None:

@@ -107,6 +107,11 @@ def test_parse_coefficient():
             parse_coefficient(bad)
     with pytest.raises(ValidationError):
         Coefficient("z", 5)
+    # a float modulus would equal the integer one and print a tag that
+    # does not parse back; a non-number cannot be compared with the bound
+    for bad in (2.0, 2.5, "3", None):
+        with pytest.raises(ValidationError, match="must be an integer"):
+            Coefficient("zp", bad)
 
 
 # --------------------------------------------------------------- boundaries
@@ -310,6 +315,13 @@ def test_coordinates_are_hyperedges_and_their_facets():
     d1, d2 = c.boundaries[1], c.boundaries[2]
     assert d1.nrows == 1 and d1.ncols == 3 and d1.is_zero()
     assert d2.nrows == 3 and d2.column(0) == {0: 1, 1: -1, 2: 1}
+
+
+def test_generators_are_computed_once_per_coordinates():
+    # the boundary of each degree and each restricted boundary read them
+    h = parse_hypergraph("v0\nv0 v1 v2\n")
+    for c in (h.coordinates, facet_coordinates(h)):
+        assert c.generators is c.generators
 
 
 @settings(max_examples=40)
