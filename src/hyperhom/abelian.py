@@ -74,10 +74,6 @@ class FGAbelianGroup(Value):
     def trivial(cls) -> "FGAbelianGroup":
         return cls(0, ())
 
-    def betti_mod_p(self, p: int) -> int:
-        """dim over Z/p of (self tensor Z/p): rank + p-divisible invariants."""
-        return self.rank + sum(1 for t in self.invariants if t % p == 0)
-
     def direct_sum(self, other: "FGAbelianGroup") -> "FGAbelianGroup":
         return FGAbelianGroup.from_parts(
             self.rank + other.rank, self.invariants + other.invariants

@@ -12,7 +12,9 @@ whole battery, and a failure is reported under its category:
 - ``kunneth``: the Kunneth ledger closes over the integers, the
   rationals, Z/2 and Z/3;
 - ``universal-coefficients``: on both factors and the product, the
-  rational and Z/p Betti numbers follow from the integral homology;
+  ranks of the infimum's restricted boundaries over Q, Z/2 and Z/3
+  certify its integral invariant factors, which every ring reads
+  (:func:`~hyperhom.homology.certify_factors`);
 - ``crash``: any other exception but a size refusal (``ValidationError``),
   which ends the campaign with the instance's index.
 
@@ -26,7 +28,7 @@ import math
 import random
 
 from .errors import IntegrityError, ValidationError
-from .homology import INTEGERS, RATIONALS, embedded_homology, mod_p
+from .homology import INTEGERS, RATIONALS, certify_factors, embedded_homology, mod_p
 from .hypergraph import (
     MAX_SIMPLICES,
     Hypergraph,
@@ -85,25 +87,6 @@ def instance_pair(config: FuzzConfig, index: int) -> tuple[Hypergraph, Hypergrap
     return draw(), draw()
 
 
-def _uct_mismatch(g: Hypergraph) -> str | None:
-    """Where the field Betti numbers of g break the universal coefficient
-    theorem: Betti_n over Q is the rank of H_n, over Z/p it is
-    betti_mod_p(H_n) plus the p-divisible invariant factors of H_{n-1}."""
-    integral = embedded_homology(g, INTEGERS)
-    for coeff in FUZZ_COEFFS[1:]:
-        for n, betti in enumerate(embedded_homology(g, coeff)):
-            if coeff.p is None:
-                want = integral[n].rank
-            else:
-                below = integral[n - 1].invariants if n else ()
-                want = integral[n].betti_mod_p(coeff.p) + sum(
-                    1 for t in below if t % coeff.p == 0
-                )
-            if betti != want:
-                return f"degree {n} over {coeff}: betti {betti}, integral homology gives {want}"
-    return None
-
-
 def check_pair(h: Hypergraph, h2: Hypergraph) -> tuple[str, str] | None:
     """Run the battery; None when everything holds, else a (category,
     detail) description of the first failure. A pair too large to admit
@@ -126,9 +109,11 @@ def check_pair(h: Hypergraph, h2: Hypergraph) -> tuple[str, str] | None:
             if not kunneth_check(h, h2, coeff).ok:
                 return ("kunneth", f"kunneth mismatch over {coeff}")
         for tag, g in (("left", h), ("right", h2), ("product", box)):
-            mismatch = _uct_mismatch(g)
-            if mismatch is not None:
-                return ("universal-coefficients", f"{tag} factor: {mismatch}")
+            for coeff in FUZZ_COEFFS[1:]:
+                try:
+                    certify_factors(g.inf, coeff)
+                except IntegrityError as exc:
+                    return ("universal-coefficients", f"{tag} factor: {exc}")
     except ValidationError:
         raise
     except Exception as exc:  # any crash is itself a reportable failure

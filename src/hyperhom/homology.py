@@ -33,10 +33,10 @@ cells joined by a unit boundary coefficient is eliminated, which adds a
 factor 1, and only the small residual takes a Smith normal form (see
 :func:`~hyperhom.intlinalg.chain_invariant_factors`). Classical homology
 of a simplicial complex takes the same route from its raw boundary
-matrices. Field coefficients take ranks of the same matrices, never
-reduced, in the field (exact rational rank, or rank mod p), so the
-universal-coefficient relations between the integral answer and the
-Betti numbers compare two routes that share no elimination.
+matrices. A field reads the same factors (universal coefficients):
+Betti_n = b_n - r_n - r_{n+1}, where over Z/p r counts only the factors
+p does not divide. Field ranks of the unreduced matrices only certify
+the factors (:func:`certify_factors`), sharing no elimination with them.
 """
 
 from __future__ import annotations
@@ -118,7 +118,10 @@ def parse_coefficient(text: str) -> Coefficient:
             p = int(text[3:])
         except ValueError:
             raise ValidationError(f"bad prime in coefficient tag: {text!r}") from None
-        return mod_p(p)
+        coeff = mod_p(p)
+        if str(coeff) != text:  # int() also reads "+3", " 3", "03", "1_1"
+            raise ValidationError(f"coefficient tag {text!r} is not written as {str(coeff)!r}")
+        return coeff
     raise ValidationError(f"unknown coefficient tag: {text!r}")
 
 
@@ -400,15 +403,14 @@ class GradedSubmodule(Value):
         return d
 
     @cached_property
-    def _homology(self) -> dict[Coefficient, list]:
-        return {}
+    def factors(self) -> list[tuple[int, ...]]:
+        """The invariant factors of the restricted boundaries, reduced once
+        for every coefficient ring (:func:`chain_invariant_factors`)."""
+        return chain_invariant_factors(self.restricted)
 
     def homology(self, coeff: Coefficient = INTEGERS) -> list[FGAbelianGroup] | list[int]:
-        """:func:`submodule_homology`, computed once per coefficient ring;
-        each call returns a fresh list."""
-        if coeff not in self._homology:
-            self._homology[coeff] = submodule_homology(self, coeff)
-        return list(self._homology[coeff])
+        """:func:`submodule_homology`, a fresh list on each call."""
+        return submodule_homology(self, coeff)
 
 
 def map_in_bases(
@@ -483,10 +485,10 @@ def submodule_homology(
     degree 0..top_degree.
 
     The restricted boundaries form a chain complex of free modules, so
-    its homology follows from their invariant factors (integral) or
-    their ranks in the field, as in :func:`_chain_homology`.
+    its homology over every ring follows from their invariant factors
+    ``m.factors``, as in :func:`_homology_from_factors`.
     """
-    return _chain_homology(m.restricted, coeff)
+    return _homology_from_factors(m.restricted, m.factors, coeff)
 
 
 def _require_chain_complex(d: Sequence[SparseIntMatrix]) -> None:
@@ -497,39 +499,45 @@ def _require_chain_complex(d: Sequence[SparseIntMatrix]) -> None:
             raise IntegrityError(f"degree-{n} boundary image is not a degree-{n - 1} cycle")
 
 
-def _chain_homology(
-    d: Sequence[SparseIntMatrix], coeff: Coefficient
+def _rank_over(factors: tuple[int, ...], coeff: Coefficient) -> int:
+    """The rank over ``coeff`` of a matrix with these invariant factors."""
+    return len(factors) if coeff.p is None else sum(1 for t in factors if t % coeff.p)
+
+
+def _homology_from_factors(
+    d: Sequence[SparseIntMatrix], factors: Sequence[tuple[int, ...]], coeff: Coefficient
 ) -> list[FGAbelianGroup] | list[int]:
     """Homology of the free chain complex with boundaries ``d``, one value
-    per degree 0..len(d)-1; the boundary out of the last degree is zero.
+    per degree 0..len(d)-1, read off ``factors[n]``, the invariant
+    factors of d[n]; the boundary out of the last degree is zero.
 
-    With b_n = d[n].ncols and r_n the rank of d[n]:
+    With b_n = d[n].ncols and r_n the rank of d[n] over the ring:
     H_n = Z^(b_n - r_n - r_{n+1}) + sum of Z/t over the invariant factors
-    t >= 2 of d[n+1]; over a field, Betti_n = b_n - r_n - r_{n+1} with
-    field ranks. This holds only for a chain complex: callers pass ``d``
-    through :func:`_require_chain_complex`. Over the integers the whole
-    complex is reduced by its unit pairs and the residual of each degree
-    takes a Smith normal form (:func:`chain_invariant_factors`, which
-    needs d[n-1] @ d[n] = 0 to drop rows exactly). Field ranks read the
-    matrices ``d`` themselves, never the reduced complex.
+    t >= 2 of d[n+1]; over a field, Betti_n = b_n - r_n - r_{n+1}. This
+    holds only for a chain complex: callers pass ``d`` through
+    :func:`_require_chain_complex`.
     """
+    factors = [*factors, ()]
+    r = [_rank_over(f, coeff) for f in factors]
+    free = [dd.ncols - r[n] - r[n + 1] for n, dd in enumerate(d)]
     if coeff.is_field:
-        if coeff.kind == "q":
-            ranks = [rank(dd) for dd in d]
-        else:
-            assert coeff.p is not None
-            ranks = [rank_mod_p(dd, coeff.p) for dd in d]
-        ranks.append(0)
-        return [dd.ncols - ranks[n] - ranks[n + 1] for n, dd in enumerate(d)]
-    factors = chain_invariant_factors(d)
-    factors.append(())
-    return [
-        FGAbelianGroup(
-            dd.ncols - len(factors[n]) - len(factors[n + 1]),
-            tuple(t for t in factors[n + 1] if t >= 2),
-        )
-        for n, dd in enumerate(d)
-    ]
+        return free
+    return [FGAbelianGroup(b, tuple(t for t in f if t >= 2)) for b, f in zip(free, factors[1:])]
+
+
+def certify_factors(m: GradedSubmodule, coeff: Coefficient) -> None:
+    """Raise IntegrityError unless, in each degree, the rank over the field
+    ``coeff`` of the unreduced restricted boundary equals its rank that
+    ``m.factors`` give; correct factors always pass (Dumas, Saunders &
+    Villard, J. Symbolic Comput. 32 (2001))."""
+    for n, (d, f) in enumerate(zip(m.restricted, m.factors)):
+        got = rank(d) if coeff.p is None else rank_mod_p(d, coeff.p)
+        want = _rank_over(f, coeff)
+        if got != want:
+            raise IntegrityError(
+                f"degree-{n} boundary has rank {got} over {coeff}, "
+                f"but its invariant factors give {want}"
+            )
 
 
 # ------------------------------------------------------------- inf and sup
@@ -608,12 +616,15 @@ def embedded_homology(
 ) -> list[FGAbelianGroup] | list[int]:
     """Embedded homology of a hypergraph, degrees 0 through dim+1.
 
-    Computed from the infimum complex ``h.inf``, once per coefficient
-    ring. With ``verify`` the supremum complex ``h.sup`` is computed
-    independently and the two answers must agree degree by degree.
+    Read off the infimum complex ``h.inf``. With ``verify`` the supremum
+    complex ``h.sup`` is computed independently and the two answers must
+    agree degree by degree, and over a field :func:`certify_factors`
+    checks the infimum.
     """
     result = h.inf.homology(coeff)
     if verify:
+        if coeff.is_field:
+            certify_factors(h.inf, coeff)
         other = h.sup.homology(coeff)
         if result != other:
             raise IntegrityError(
@@ -635,8 +646,9 @@ def classical_homology(
     no submodule machinery. Used to cross-check the embedded pipeline
     on closed inputs.
     """
-    _require_chain_complex(k.coordinates.boundaries)
-    return _chain_homology(k.coordinates.boundaries, coeff)
+    d = k.coordinates.boundaries
+    _require_chain_complex(d)
+    return _homology_from_factors(d, chain_invariant_factors(d), coeff)
 
 
 # ---------------------------------------------------------------- rendering

@@ -55,6 +55,9 @@ class Hypergraph(Value):
         self.__post_init__()
 
     def __post_init__(self) -> None:
+        # a list hashes neither as a value field nor as a dict key
+        if not isinstance(self.vertices, tuple) or not isinstance(self.edges, tuple):
+            raise ValidationError("vertices and edges must be tuples")
         n = len(self.vertices)
         if len(set(self.vertices)) != n:
             raise ValidationError("duplicate vertex tokens")
@@ -63,6 +66,8 @@ class Hypergraph(Value):
         # keys: sorted and duplicate-free, checked in the same pass
         last: tuple = (0, ())
         for e in self.edges:
+            if not isinstance(e, tuple):
+                raise ValidationError(f"hyperedge is not a tuple: {e!r}")
             if not e:
                 raise ValidationError("empty hyperedge")
             if any(a >= b for a, b in zip(e, e[1:])):

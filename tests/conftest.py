@@ -1,6 +1,8 @@
 import pytest
 from hypothesis import HealthCheck, settings
 
+import hyperhom.homology as homology
+
 settings.register_profile(
     "suite",
     deadline=None,
@@ -27,6 +29,18 @@ def spy(monkeypatch):
         return calls
 
     return install
+
+
+@pytest.fixture
+def lost_torsion(monkeypatch):
+    """Plant a wrong invariant factor: every factor 2 that the homology
+    module reduces reads as 1, so RP2 loses its Z/2 class in every ring,
+    alike on every route."""
+    real = homology.chain_invariant_factors
+    monkeypatch.setattr(
+        homology, "chain_invariant_factors",
+        lambda d: [tuple(1 if t == 2 else t for t in f) for f in real(d)],
+    )
 
 
 # one line per acceptance criterion, echoed after the test summary so the

@@ -160,9 +160,3 @@ def test_rendering():
     assert str(FGAbelianGroup.from_parts(1, [4, 6])) == "Z + Z/2 + Z/12"
     assert str(FGAbelianGroup.from_parts(0, [2])) == "Z/2"
 
-
-def test_betti_mod_p():
-    g = FGAbelianGroup.from_parts(2, [2, 12])
-    assert g.betti_mod_p(2) == 4
-    assert g.betti_mod_p(3) == 3
-    assert g.betti_mod_p(5) == 2

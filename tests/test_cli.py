@@ -23,6 +23,7 @@ from hyperhom.hypergraph import (
     hypergraph_from_edges,
     parse_hypergraph,
     product_boxtimes,
+    to_text,
 )
 from test_solver_sites import _sites
 
@@ -469,6 +470,16 @@ def test_integrity_failure_exits_4(tmp_path, capsys, monkeypatch) -> None:
     path = write(tmp_path, "h.txt", "v0\n")
     code, _, err = run(capsys, "homology", path, "--verify")
     assert code == 4 and "pipelines disagree" in err
+
+
+def test_field_verify_exits_4_on_a_wrong_invariant_factor(tmp_path, capsys, lost_torsion) -> None:
+    # infimum and supremum agree on the wrong answer, and the field ranks
+    # of the infimum refuse it
+    path = write(tmp_path, "rp2.txt", to_text(projective_plane()))
+    code, out, err = run(capsys, "homology", path, "--verify", "--coeff", "zp:2")
+    assert (code, out) == (4, "")
+    assert "degree-2 boundary has rank 9 over zp:2, but its invariant factors give 10" in err
+    assert run(capsys, "homology", path, "--coeff", "zp:2")[0] == 0
 
 
 def test_kunneth_verify_exits_4_when_the_supremum_route_disagrees(

@@ -109,11 +109,19 @@ def test_shuffle_image_outside_the_product_coordinates_is_a_chain_map_failure(
 
 
 def test_universal_coefficient_check_catches_a_wrong_field_rank(monkeypatch) -> None:
-    # Z/2 ranks taken over Q: RP2 then loses its Z/2 classes consistently in
-    # factor and product, so the Z/2 Kunneth ledger still closes.
+    # Z/2 ranks taken over Q: RP2's degree-2 boundary then has one rank
+    # mod 2 more than its factor 2 allows
     monkeypatch.setattr(homology, "rank_mod_p", lambda d, p: rank(d))
     outcome = check_pair(projective_plane(), vertex_hypergraph())
     assert outcome is not None and outcome[0] == "universal-coefficients"
+
+
+def test_universal_coefficient_check_catches_a_wrong_invariant_factor(lost_torsion) -> None:
+    # the factor and the product lose their Z/2 classes alike, so the
+    # inf-sup check and every Kunneth ledger still pass
+    outcome = check_pair(projective_plane(), vertex_hypergraph())
+    assert outcome is not None and outcome[0] == "universal-coefficients"
+    assert "over zp:2" in outcome[1]
 
 
 def _assert_minimized(report, category: str) -> list:

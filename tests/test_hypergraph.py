@@ -155,6 +155,19 @@ def test_post_init_rejects_malformed():
         Hypergraph(("a",), ((0,), (0,)))  # duplicated edge
 
 
+@pytest.mark.parametrize("cls", [Hypergraph, SimplicialComplex])
+@pytest.mark.parametrize("vertices, edges", [
+    (("a", "b"), ([0], [1], [0, 1])),  # list edges
+    (("a", "b"), [(0,), (1,), (0, 1)]),  # a list of edges
+    (["a", "b"], ((0,), (1,), (0, 1))),  # a list of vertices
+])
+def test_post_init_accepts_only_tuples(cls, vertices, edges):
+    # a list hashes neither as a field of the value nor as a dict key, so
+    # the homology and the product would fail later with a TypeError
+    with pytest.raises(ValidationError, match="tuple"):
+        cls(vertices, edges)
+
+
 def test_simplicial_complex_requires_closure():
     with pytest.raises(ValidationError):
         SimplicialComplex(("a", "b"), ((0, 1),))

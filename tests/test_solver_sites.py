@@ -11,6 +11,10 @@ hands the columns it builds to ``SparseIntMatrix._adopt``.
 A hypergraph is adopted without validation in two places only, where it
 holds by construction: the closure in ``associated_complex`` and the
 product in ``product_boxtimes``.
+
+There is one homology kernel: every ring reads the integral invariant
+factors, and the field ranks ``rank`` and ``rank_mod_p`` are called in
+``certify_factors`` only, which checks those factors.
 """
 
 from __future__ import annotations
@@ -79,6 +83,15 @@ def _adopts_a_hypergraph(node: ast.AST) -> bool:
     )
 
 
+def _calls_a_field_rank(node: ast.AST) -> bool:
+    if not isinstance(node, ast.Call):
+        return False
+    f = node.func
+    return (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) in (
+        "rank", "rank_mod_p",
+    )
+
+
 def test_only_graded_submodule_solver_builds_a_lattice_solver() -> None:
     assert _package_sites(_builds_a_solver) == ["homology.py:GradedSubmodule.solver"]
 
@@ -101,3 +114,8 @@ def test_only_the_closure_and_the_product_adopt_a_hypergraph() -> None:
         "hypergraph.py:associated_complex",
         "hypergraph.py:product_boxtimes",
     ]
+
+
+def test_only_the_certificate_takes_field_ranks() -> None:
+    # one call over Q and one over Z/p
+    assert _package_sites(_calls_a_field_rank) == ["homology.py:certify_factors"] * 2
