@@ -56,8 +56,10 @@ class FuzzConfig(Value):
 
     def __post_init__(self) -> None:
         for name in self._fields:
-            if not isinstance(getattr(self, name), int):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            # a bool is an int to isinstance, but no count, seed or bound
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.count < 0:
             raise ValueError("count must be non-negative")
         if self.max_vertices < 1:

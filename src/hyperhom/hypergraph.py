@@ -355,7 +355,7 @@ def associated_complex(h: Hypergraph) -> SimplicialComplex:
 # --------------------------------------------------------------- product
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: a cached (2, 1) must not answer (2.0, 1)
 def lattice_paths(
     p: int, q: int
 ) -> tuple[tuple[tuple[tuple[int, int], ...], int], ...]:
@@ -367,6 +367,8 @@ def lattice_paths(
     before up steps, so the first path is all-right-then-up (area 0) and
     the last is all-up-then-right (area p*q).
     """
+    if not (isinstance(p, int) and isinstance(q, int)):
+        raise ValueError(f"grid corner must be integers, got ({p!r}, {q!r})")
     if p < 0 or q < 0:
         raise ValueError("grid corner must be non-negative")
     out: list[tuple[tuple[tuple[int, int], ...], int]] = []
@@ -458,6 +460,9 @@ def random_hypergraph(
     nothing was selected, one candidate edge is forced so the result is
     a valid hypergraph.
     """
+    for name, value in (("n_vertices", n_vertices), ("max_dim", max_dim)):
+        if not isinstance(value, int):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if n_vertices < 1:
         raise ValueError("need at least one vertex")
     if max_dim < 0:

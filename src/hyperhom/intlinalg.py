@@ -544,80 +544,61 @@ def chain_invariant_factors(d: Sequence[SparseIntMatrix]) -> list[tuple[int, ...
 
     ``d[n]`` maps the degree-n cells (its columns) to the degree n-1
     cells (its rows), and every d[n-1] @ d[n] must vanish; the caller
-    checks that. Unit pairs are eliminated first, over all degrees
-    together (Kaczynski, Mrozek & Slusarek, Comput. Math. Appl. 35
-    (1998)). An entry u = d[n][a, b] = +-1 pairs cell a of degree n-1
-    with cell b of degree n. In the bases where d[n](b) replaces a and
-    j - u d[n][a, j] b replaces every other degree-n cell j, d[n] splits
-    into the 1x1 block u and the Schur complement on its other rows and
-    columns, so the pair leaves one factor 1. Column a of d[n-1] becomes
-    d[n-1] d[n] b = 0. Row b of d[n+1] is, by row a of d[n] d[n+1] = 0,
-    -u times the sum over j != b of d[n][a, j] times row j: an integer
-    combination of the other rows, so dropping it leaves their lattice
-    and the factors of d[n+1] as they were. Each step takes the row with
-    the fewest entries that holds a unit, and in it the unit whose
-    column has the fewest entries, which bounds the fill-in. What is
+    checks that. Unit pairs are eliminated first (Kaczynski, Mrozek &
+    Slusarek, Comput. Math. Appl. 35 (1998)). An entry u = d[n][a, b] =
+    +-1 pairs cell a of degree n-1 with cell b of degree n. In the bases
+    where d[n](b) replaces a and j - u d[n][a, j] b replaces every other
+    degree-n cell j, d[n] splits into the 1x1 block u and the Schur
+    complement on its other rows and columns, so the pair leaves one
+    factor 1. Column a of d[n-1] becomes d[n-1] d[n] b = 0. Row b of
+    d[n+1] is, by row a of d[n] d[n+1] = 0, -u times the sum over j != b
+    of d[n][a, j] times row j: an integer combination of the other rows,
+    so dropping it leaves their lattice and the factors of d[n+1] as
+    they were.
+
+    The degrees are reduced in turn, each by passes over its rows in
+    index order. A row that holds a unit is paired at the unit whose
+    column has the fewest entries, which bounds the fill-in. A pair in
+    degree n only deletes lines of d[n-1] and d[n+1], and deleting never
+    creates a unit, so the only writes that can give d[n] a new unit are
+    its own Schur updates: a degree is passed over again only when one
+    of them rewrote a row that the pass had already visited. What is
     left once no unit remains goes to :func:`invariant_factors`.
     """
     # stores[n] = (rows, cols): row i and column j of d[n] as sparse dicts
     stores = [_mirrored(m) for m in d]
     units = (1, -1)
-    # queue[k] holds (degree, row) for rows of k entries. A row is queued
-    # again whenever an update changes it, so an entry for a row that has
-    # grown since is stale; one that has shrunk without an update (a
-    # column dropped) is taken as it is.
-    queue: list[list[tuple[int, int]]] = [[]]
-
-    def enqueue(n: int, i: int, k: int) -> None:
-        while k >= len(queue):
-            queue.append([])
-        queue[k].append((n, i))
-
-    for n, (rs, _) in enumerate(stores):
-        for i, r in enumerate(rs):
-            if r:
-                enqueue(n, i, len(r))
     pairs = [0] * len(d)
-    k = 1
-    while True:
-        while k < len(queue) and not queue[k]:
-            k += 1
-        if k == len(queue):
-            break
-        n, a = queue[k].pop()
-        rs, cs = stores[n]
-        row_a = rs[a]
-        if not row_a or len(row_a) > k:
-            continue
-        if len(row_a) == 1:
-            ((b, v),) = row_a.items()
-            if v not in units:
-                continue
-        else:
-            b = min(
-                (j for j, v in row_a.items() if v in units),
-                key=lambda j: (len(cs[j]), j),
-                default=None,
-            )
-            if b is None:
-                continue
-        # take column b out of d[n], then row a once it has cleared the
-        # other rows of column b: row i -= (d[i, b] / u) * row a, and 1 / u = u
-        col_b = _take_line(cs, rs, b)
-        u = col_b.pop(a)
-        for i, v in col_b.items():
-            _add_line(rs, cs, i, a, -v * u)
-            if rs[i]:
-                enqueue(n, i, len(rs[i]))
-                k = min(k, len(rs[i]))
-        _take_line(rs, cs, a)
-        # cell b leaves degree n: its row in d[n+1]
-        if n + 1 < len(d):
-            _take_line(*stores[n + 1], b)
-        # cell a leaves degree n-1: its column in d[n-1]
-        if n:
-            _take_line(*reversed(stores[n - 1]), a)
-        pairs[n] += 1
+    for n, (rs, cs) in enumerate(stores):
+        again = True
+        while again:
+            again = False
+            for a, row_a in enumerate(rs):
+                if not row_a:  # skipped before the unit scan: often half the rows
+                    continue
+                b = min(
+                    (j for j, v in row_a.items() if v in units),
+                    key=lambda j: (len(cs[j]), j),
+                    default=None,
+                )
+                if b is None:
+                    continue
+                # take column b out of d[n], then row a once it has cleared the
+                # other rows of column b: row i -= (d[i, b] / u) * row a, and 1 / u = u
+                col_b = _take_line(cs, rs, b)
+                u = col_b.pop(a)
+                for i, v in col_b.items():
+                    _add_line(rs, cs, i, a, -v * u)
+                # a row this pass has already visited may hold a unit now
+                again = again or any(i < a for i in col_b)
+                _take_line(rs, cs, a)
+                # cell b leaves degree n: its row in d[n+1]
+                if n + 1 < len(d):
+                    _take_line(*stores[n + 1], b)
+                # cell a leaves degree n-1: its column in d[n-1]
+                if n:
+                    _take_line(*reversed(stores[n - 1]), a)
+                pairs[n] += 1
     out = []
     for n, (_, cs) in enumerate(stores):
         live = [c for c in cs if c]

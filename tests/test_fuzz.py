@@ -38,6 +38,15 @@ def test_config_rejects_bad_bounds() -> None:
         FuzzConfig(count=2.5, seed=1)
     with pytest.raises(ValueError, match="max_dim must be an integer, got 2.0"):
         FuzzConfig(count=1, seed=0, max_dim=2.0)
+    # isinstance(True, int) holds, yet a bool is no count, seed or bound
+    with pytest.raises(ValueError, match="count must be an integer, got True"):
+        FuzzConfig(True, False)
+    with pytest.raises(ValueError, match="seed must be an integer, got False"):
+        FuzzConfig(count=1, seed=False)
+    with pytest.raises(ValueError, match="max_vertices must be an integer, got True"):
+        FuzzConfig(count=1, seed=0, max_vertices=True)
+    with pytest.raises(ValueError, match="max_dim must be an integer, got False"):
+        FuzzConfig(count=1, seed=0, max_dim=False)
 
 
 def test_instance_pair_is_deterministic() -> None:

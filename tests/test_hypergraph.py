@@ -240,6 +240,16 @@ def test_lattice_paths_count_and_shape(p, q):
         assert 0 <= area <= p * q
 
 
+def test_lattice_paths_refuse_a_non_integer_corner():
+    for p, q in ((1.5, 1), (1, 0.5), (2.0, 1), ("2", 1)):
+        with pytest.raises(ValueError, match="grid corner must be integers"):
+            lattice_paths(p, q)
+    # a float equal to a cached corner is refused too, not answered from the cache
+    assert len(lattice_paths(2, 1)) == 3
+    with pytest.raises(ValueError, match=r"got \(2.0, 1\)"):
+        lattice_paths(2.0, 1)
+
+
 def test_lattice_path_area_extremes():
     paths = lattice_paths(2, 3)
     by_pts = {pts: area for pts, area in paths}
@@ -410,6 +420,10 @@ def test_random_hypergraph_rejects_bad_arguments():
         random_hypergraph(3, -1, 0.5, seed=0)
     with pytest.raises(ValueError, match="density"):
         random_hypergraph(3, 1, 1.5, seed=0)
+    with pytest.raises(ValueError, match="max_dim must be an integer, got 1.5"):
+        random_hypergraph(3, 1.5, 0.5, seed=0)
+    with pytest.raises(ValueError, match="n_vertices must be an integer, got 3.0"):
+        random_hypergraph(3.0, 1, 0.5, seed=0)
 
 
 @given(st.integers(1, 7), st.integers(0, 3), st.floats(0.0, 1.0), st.integers(0, 999))

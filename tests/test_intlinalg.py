@@ -406,6 +406,24 @@ def test_only_the_torsion_of_rp2_takes_a_smith_form(spy):
     assert [args[0].to_rows() in ([[2]], [[-2]]) for args, _ in residuals] == [True]
 
 
+@pytest.mark.parametrize(
+    "rows",
+    [
+        # pairing row 1 at column 0 turns row 0, already passed, into (0, 1):
+        # only a second pass over the degree finds that unit
+        [[2, 3], [1, 1]],
+        # row 0's unit in column 0, which row 1 shares, would turn row 1
+        # into (-2, -3) and leave it a 1x2 residual; column 2 holds row 0 only
+        [[1, 1, 1], [3, 1, 0]],
+    ],
+    ids=["second-pass", "sparsest-column"],
+)
+def test_unit_pairs_leave_no_residual(rows, spy):
+    residuals = spy(intlinalg, "invariant_factors")
+    assert chain_invariant_factors([SparseIntMatrix.from_rows(rows)]) == [(1, 1)]
+    assert residuals == []
+
+
 def test_reduced_complex_of_empty_degrees():
     assert chain_invariant_factors([]) == []
     d = [SparseIntMatrix(0, 0), SparseIntMatrix(0, 3), SparseIntMatrix(3, 0)]
